@@ -125,13 +125,13 @@ def test_throughput_sweep_reports_all_batch_sizes():
 
 
 def test_broker_publish_batch_throughput(benchmark):
-    """End-to-end broker path: one publish_batch call for a 256-event
+    """End-to-end broker path: one publish(list) call for a 256-event
     frame, with delivery bookkeeping included."""
     broker = Broker("bench", engine=_loaded_engine())
     events = _event_stream()[:256]
 
     def run():
-        broker.publish_batch(events)
+        broker.publish(events)
 
     benchmark(run)
     benchmark.extra_info.update(batch_size=len(events))

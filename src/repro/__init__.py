@@ -49,7 +49,6 @@ from .broker import (
 from .core import (
     ENGINES,
     BitLayout,
-    Bitmap,
     BruteForceEngine,
     CountingEngine,
     CountingVariantEngine,
@@ -69,7 +68,6 @@ from .core import (
     ShardPartitioner,
     ShardWorkerError,
     ShardedEngine,
-    ThreadExecutor,
     UnknownEngineError,
     UnknownSubscriptionError,
     UnsupportedSubscriptionError,
@@ -144,7 +142,6 @@ __all__ = [
     "HashPartitioner",
     "RoutedPartitioner",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "ShardWorkerError",
     "executor_names",
@@ -155,7 +152,6 @@ __all__ = [
     "register_partitioner",
     "shard_index",
     "BitLayout",
-    "Bitmap",
     "BruteForceEngine",
     "CountingEngine",
     "CountingVariantEngine",

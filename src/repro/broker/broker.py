@@ -23,7 +23,6 @@ The public surface:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -196,25 +195,13 @@ class Broker:
         *,
         subscriber: str | None = None,
         sink: DeliverySink | Callable[[Notification], None] | None = None,
-        callback: Callable[[Notification], None] | None = None,
     ) -> SubscriptionHandle:
         """Register a subscription (object or source text).
 
         Returns the :class:`~repro.broker.handle.SubscriptionHandle`
         owning the registration.  ``sink`` takes a
-        :class:`~repro.broker.sinks.DeliverySink` or a bare callable;
-        ``callback`` is the deprecated spelling of a callable sink and
-        will be removed next release.
+        :class:`~repro.broker.sinks.DeliverySink` or a bare callable.
         """
-        if sink is not None and callback is not None:
-            raise TypeError("pass either sink= or callback=, not both")
-        if callback is not None:
-            warnings.warn(
-                "callback= is deprecated and will be removed next "
-                "release; pass sink= (a DeliverySink or bare callable)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if isinstance(subscription, str):
             subscription = Subscription.from_text(
                 subscription, subscriber=subscriber
@@ -228,7 +215,7 @@ class Broker:
         self.engine.register(subscription)
         handle = SubscriptionHandle(
             subscription,
-            sink=as_sink(sink if sink is not None else callback),
+            sink=as_sink(sink),
             owner=self,
         )
         self._handles[subscription.subscription_id] = handle
@@ -281,10 +268,12 @@ class Broker:
         """Publish one event or a batch — the single publish surface.
 
         * an :class:`~repro.events.event.Event` or plain mapping is
-          matched on the per-event path and returns its notifications;
+          published as a batch of one and returns its notifications;
         * any other iterable (list, tuple, generator, ...) is
-          materialized once and routed through the batch matching
-          pipeline; result ``i`` holds the deliveries of event ``i``.
+          materialized once and matched with one engine invocation
+          (:meth:`~repro.core.base.FilterEngine.match_batch`); result
+          ``i`` holds the deliveries of event ``i``, and the batch
+          counts toward ``stats.batches_published``.
 
         For unbounded feeds, use :meth:`stream` instead of passing a
         huge iterable.
@@ -297,20 +286,10 @@ class Broker:
             delivery happens).
         """
         if isinstance(events, (Event, Mapping)):
-            return self._publish_event(coerce_event(events))
-        return self._publish_batch(coerce_events(events))
-
-    def publish_batch(
-        self, events: Iterable[Event | Mapping]
-    ) -> list[list[Notification]]:
-        """Batch publication; thin alias of :meth:`publish` on an iterable.
-
-        The iterable is materialized exactly once (generators are safe);
-        the whole batch is schema-validated up front and matched with
-        one engine invocation
-        (:meth:`~repro.core.base.FilterEngine.match_batch`).
-        """
-        return self._publish_batch(coerce_events(events))
+            return self._publish_batch([coerce_event(events)])[0]
+        deliveries = self._publish_batch(coerce_events(events))
+        self.stats.batches_published += 1
+        return deliveries
 
     def stream(
         self,
@@ -324,29 +303,17 @@ class Broker:
         pulling at most ``batch_size`` events ahead — the streaming face
         of the batch pipeline.
         """
-        return stream_events(self._publish_batch, events, batch_size)
-
-    def _publish_event(self, event: Event) -> list[Notification]:
-        """Per-event path: match one event, deliver, count."""
-        if self.schema is not None:
-            self.schema.validate(event)
-        self.stats.events_published += 1
-        matched = self.engine.match(event)
-        if matched:
-            self.stats.events_matched += 1
-        notifications = self._deliver(event, matched)
-        self.stats.notifications_delivered += len(notifications)
-        return notifications
+        return stream_events(self.publish, events, batch_size)
 
     def _publish_batch(
         self, events: Sequence[Event]
     ) -> list[list[Notification]]:
-        """Batch path: one engine invocation, per-event delivery."""
+        """The one publish path: validate the whole batch, match it with
+        one engine invocation, deliver per event."""
         if self.schema is not None:
             for event in events:
                 self.schema.validate(event)
         self.stats.events_published += len(events)
-        self.stats.batches_published += 1
         matched_sets = self.engine.match_batch(events)
         batched: list[list[Notification]] = []
         delivered = 0

@@ -129,20 +129,7 @@ class Publisher:
             return self.broker.publish(coerce_event(events))
         prepared = coerce_events(events)
         self.published_count += len(prepared)
-        return self.broker.publish_batch(prepared)
-
-    def publish_batch(
-        self, events: Iterable[Event | Mapping]
-    ) -> list[list[Notification]]:
-        """Publish a batch through the broker's batched matching path.
-
-        The iterable is materialized (and coerced) exactly once — a
-        generator is consumed here and the resulting batch is both what
-        gets counted and what gets matched.
-        """
-        prepared = coerce_events(events)
-        self.published_count += len(prepared)
-        return self.broker.publish_batch(prepared)
+        return self.broker.publish(prepared)
 
     def stream(
         self,
@@ -159,6 +146,6 @@ class Publisher:
 
         def publish_and_count(batch):
             self.published_count += len(batch)
-            return self.broker.publish_batch(batch)
+            return self.broker.publish(batch)
 
         return stream_events(publish_and_count, events, batch_size)

@@ -28,7 +28,6 @@ the routing tables themselves.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -60,7 +59,7 @@ class NetworkStats:
     """Network-wide counters."""
 
     events_published: int = 0
-    batches_published: int = 0    # publish_batch invocations
+    batches_published: int = 0    # publish(iterable) invocations
     broker_hops: int = 0          # broker-to-broker transmissions (a
                                   # forwarded batch counts one hop)
     matches_computed: int = 0     # per-broker matching invocations (one
@@ -74,24 +73,6 @@ class NetworkStats:
                                        # registrations (incl. absorptions)
     reinstated_registrations: int = 0  # orphans re-registered after
                                        # their coverer withdrew
-
-    @property
-    def subscription_floods(self) -> int:
-        """Deprecated alias of :attr:`hops_visited`.
-
-        The old counter conflated transmissions with registrations —
-        suppressed hops were still counted as "floods".  Read
-        :attr:`hops_visited` for transmissions and
-        :attr:`registrations_forwarded` for registrations instead.
-        """
-        warnings.warn(
-            "NetworkStats.subscription_floods is deprecated; read "
-            "hops_visited (transmissions) or registrations_forwarded "
-            "(actual remote registrations)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.hops_visited
 
 
 class BrokerNetwork:
@@ -232,7 +213,6 @@ class BrokerNetwork:
         *,
         subscriber: str | None = None,
         sink: DeliverySink | Callable[[Notification], None] | None = None,
-        callback: Callable[[Notification], None] | None = None,
     ) -> SubscriptionHandle:
         """Register at ``broker_name`` and propagate overlay-wide.
 
@@ -241,18 +221,6 @@ class BrokerNetwork:
         suppresses delivery at the home broker, which is where all of
         this subscription's deliveries happen.
         """
-        if sink is not None and callback is not None:
-            raise TypeError("pass either sink= or callback=, not both")
-        if callback is not None:
-            # warn here so the DeprecationWarning points at the caller,
-            # not at this forwarding frame
-            warnings.warn(
-                "callback= is deprecated and will be removed next "
-                "release; pass sink= (a DeliverySink or bare callable)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            sink, callback = callback, None
         home = self.broker(broker_name)
         handle = home.subscribe(subscription, subscriber=subscriber, sink=sink)
         # re-own the handle: its unsubscribe() must withdraw everywhere
@@ -316,15 +284,18 @@ class BrokerNetwork:
     ) -> list[Notification] | list[list[Notification]]:
         """Publish at ``broker_name`` — the single publish surface.
 
-        Mirrors :meth:`Broker.publish`: a single event or mapping takes
-        the per-event path and returns its network-wide deliveries; any
-        other iterable is materialized once and routed through the
-        batched overlay pipeline (result ``i`` holds event ``i``'s
-        deliveries).  Use :meth:`stream` for unbounded feeds.
+        Mirrors :meth:`Broker.publish`: a single event or mapping is
+        routed as a batch of one and returns its network-wide
+        deliveries; any other iterable is materialized once and routed
+        as one batch (result ``i`` holds event ``i``'s deliveries,
+        counted in ``stats.batches_published``).  Use :meth:`stream` for
+        unbounded feeds.
         """
         if isinstance(events, (Event, Mapping)):
-            return self._publish_event(broker_name, coerce_event(events))
-        return self._publish_batch(broker_name, coerce_events(events))
+            return self._publish_batch(broker_name, [coerce_event(events)])[0]
+        deliveries = self._publish_batch(broker_name, coerce_events(events))
+        self.stats.batches_published += 1
+        return deliveries
 
     def stream(
         self,
@@ -339,83 +310,31 @@ class BrokerNetwork:
         pulling at most ``batch_size`` events ahead.
         """
         return stream_events(
-            lambda batch: self._publish_batch(broker_name, batch),
-            events,
-            batch_size,
+            lambda batch: self.publish(broker_name, batch), events, batch_size
         )
-
-    def _publish_event(
-        self, broker_name: str, event: Event
-    ) -> list[Notification]:
-        """Per-event reverse-path forwarding.
-
-        The event travels only toward brokers with matching downstream
-        subscriptions; each broker on the path re-matches with its own
-        engine (standard reverse-path content-based forwarding).
-        """
-        self.stats.events_published += 1
-        deliveries: list[Notification] = []
-        frontier: list[tuple[str | None, str]] = [(None, self.broker(broker_name).name)]
-        while frontier:
-            came_from, current = frontier.pop()
-            broker = self._brokers[current]
-            if broker.schema is not None:
-                broker.schema.validate(event)
-            matched = broker.engine.match(event)
-            self.stats.matches_computed += 1
-            broker.stats.events_published += 1
-            if matched:
-                broker.stats.events_matched += 1
-            hops = self._routing[current].hops
-            forward_to: set[str] = set()
-            for sid in sorted(matched):
-                hop = hops.get(sid)
-                if hop is None:
-                    # this broker is the subscription's home: deliver
-                    # (None means the handle is paused — no delivery)
-                    notification = broker.notify_local(event, sid)
-                    if notification is not None:
-                        deliveries.append(notification)
-                elif hop != came_from:
-                    forward_to.add(hop)
-            for neighbor in forward_to:
-                self.stats.broker_hops += 1
-                frontier.append((current, neighbor))
-        self.stats.notifications_delivered += len(deliveries)
-        return deliveries
-
-    def publish_batch(
-        self, broker_name: str, events: Iterable[Event | Mapping]
-    ) -> list[list[Notification]]:
-        """Batch publication; thin alias of :meth:`publish` on an iterable.
-
-        The iterable is materialized exactly once (generators are safe).
-        """
-        return self._publish_batch(broker_name, coerce_events(events))
 
     def _publish_batch(
         self, broker_name: str, events: Sequence[Event]
     ) -> list[list[Notification]]:
-        """Batched overlay routing; one matching invocation per broker per
-        batch.
+        """Reverse-path forwarding of a batch; one matching invocation per
+        broker per batch.
 
-        Result ``i`` holds the same notifications the per-event path
-        would produce for ``events[i]``; only their order within the
-        list may differ, since the batched traversal visits brokers in
-        its own order.  Routing is batched end to end: each
-        broker the batch reaches matches its event subset with a single
+        The events travel only toward brokers with matching downstream
+        subscriptions; each broker on the path re-matches its event
+        subset with its own engine (standard reverse-path content-based
+        forwarding) in a single
         :meth:`~repro.core.base.FilterEngine.match_batch` call, and the
         subset bound for each neighbor is forwarded as one grouped
         transmission (one ``broker_hops`` increment), which is how a real
-        overlay would ship a frame of events.
+        overlay would ship a frame of events.  Result ``i`` holds event
+        ``i``'s deliveries in traversal order; a single event is a batch
+        of one.
         """
         home = self.broker(broker_name).name
         self.stats.events_published += len(events)
-        self.stats.batches_published += 1
         deliveries: list[list[Notification]] = [[] for _ in events]
         if not events:
             return deliveries
-        delivered = 0
         #: (came_from, current, indices of events reaching ``current``)
         frontier: list[tuple[str | None, str, list[int]]] = [
             (None, home, list(range(len(events))))
@@ -432,26 +351,26 @@ class BrokerNetwork:
             broker.stats.events_published += len(subset)
             next_hop = self._routing[current].hops
             forward: dict[str, list[int]] = {}
-            for index, matched in zip(indices, matched_sets):
+            for index, event, matched in zip(indices, subset, matched_sets):
                 if matched:
                     broker.stats.events_matched += 1
+                received = deliveries[index]
                 forwarded_to: set[str] = set()
                 for sid in sorted(matched):
                     hop = next_hop.get(sid)
                     if hop is None:
                         # this broker is the subscription's home: deliver
                         # (None means the handle is paused — no delivery)
-                        notification = broker.notify_local(events[index], sid)
+                        notification = broker.notify_local(event, sid)
                         if notification is not None:
-                            deliveries[index].append(notification)
-                            delivered += 1
+                            received.append(notification)
                     elif hop != came_from and hop not in forwarded_to:
                         forwarded_to.add(hop)
                         forward.setdefault(hop, []).append(index)
             for neighbor, neighbor_indices in forward.items():
                 self.stats.broker_hops += 1
                 frontier.append((current, neighbor, neighbor_indices))
-        self.stats.notifications_delivered += delivered
+        self.stats.notifications_delivered += sum(map(len, deliveries))
         return deliveries
 
     # ------------------------------------------------------------------

@@ -9,8 +9,8 @@ what it drops, which is what a broker on a "less equipped machine"
 (paper §1) must do when a subscriber cannot keep up.
 
 Every sink counts deliveries in :attr:`DeliverySink.delivered`;
-:func:`as_sink` adapts plain callables, so legacy ``callback=`` call
-sites keep working.
+:func:`as_sink` adapts plain callables, so ``sink=`` accepts a bare
+callable too.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class DeliverySink(abc.ABC):
 
 
 class CallbackSink(DeliverySink):
-    """Invoke a callable per notification (the legacy ``callback`` path)."""
+    """Invoke a callable per notification (what a bare callable ``sink`` becomes)."""
 
     def __init__(self, callback: Callable[[Notification], None]) -> None:
         if not callable(callback):

@@ -7,15 +7,10 @@ from .base import (
     UnsupportedSubscriptionError,
 )
 from .bitset import (
-    POPCOUNT8,
-    WORD_BITS,
     BitLayout,
-    Bitmap,
     FulfilledMatrix,
     iter_bits,
     popcount,
-    popcount_bytes,
-    trailing_word_mask,
 )
 from .bruteforce import BruteForceEngine
 from .counting import MAX_CLAUSE_PREDICATES, CountingEngine, CountingVariantEngine
@@ -42,7 +37,6 @@ from .sharded import (
     ShardPartitioner,
     ShardWorkerError,
     ShardedEngine,
-    ThreadExecutor,
     executor_names,
     make_executor,
     make_partitioner,
@@ -62,15 +56,10 @@ __all__ = [
     "MatchCounters",
     "UnknownSubscriptionError",
     "UnsupportedSubscriptionError",
-    "POPCOUNT8",
-    "WORD_BITS",
     "BitLayout",
-    "Bitmap",
     "FulfilledMatrix",
     "iter_bits",
     "popcount",
-    "popcount_bytes",
-    "trailing_word_mask",
     "BruteForceEngine",
     "MAX_CLAUSE_PREDICATES",
     "CountingEngine",
@@ -95,7 +84,6 @@ __all__ = [
     "HashPartitioner",
     "RoutedPartitioner",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "ShardWorkerError",
     "executor_names",

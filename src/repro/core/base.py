@@ -13,6 +13,12 @@ Every engine implements the same two-phase contract:
 ``match(event)`` composes the two.  Benchmarks time
 :meth:`match_fulfilled` in isolation, which is what the paper's Fig. 3
 plots.
+
+An engine implements :meth:`FilterEngine.match_fulfilled` plus at most
+one batch kernel (:meth:`~FilterEngine.match_fulfilled_matrix` or
+:meth:`~FilterEngine.match_fulfilled_batch`); :class:`FilterEngine`
+derives ``match``, ``match_batch``, the memoized
+``match_fulfilled_batch`` and the matrix fallback from them.
 """
 
 from __future__ import annotations
@@ -203,44 +209,82 @@ class FilterEngine(abc.ABC):
 
     @abc.abstractmethod
     def match_fulfilled(self, fulfilled_ids: AbstractSet[int]) -> set[int]:
-        """Phase 2 only: match given the fulfilled predicate id set."""
+        """Phase 2 only: match given the fulfilled predicate id set.
+
+        The one matching method every engine implements; every other
+        entry point below is derived from it (or from the engine's one
+        batch kernel).
+        """
+
+    @property
+    def has_matrix_kernel(self) -> bool:
+        """Whether :meth:`match_fulfilled_matrix` is a native kernel.
+
+        True when the engine's class overrides the matrix hook; an
+        engine whose kernel depends on construction options overrides
+        this property instead.  ``match_batch`` feeds kernel engines the
+        column-major phase 1, and the sharded runtime slices one matrix
+        across shards only when its shards say yes.
+        """
+        return (
+            type(self).match_fulfilled_matrix is not FilterEngine.match_fulfilled_matrix
+        )
 
     def match_batch(self, events: Sequence[Event]) -> list[set[int]]:
         """Two-phase matching over a batch of events.
 
-        One phase-1 invocation (:meth:`IndexManager.match_batch`, which
-        memoizes repeated attribute values across the batch) feeds one
-        phase-2 batch call.  Result ``i`` equals ``match(events[i])`` —
-        engines override :meth:`match_fulfilled_batch` for throughput,
-        never for different answers.
+        Result ``i`` equals ``match(events[i])``.  A batch of one takes
+        the per-event path: phase 1 without the probe cache, phase 2
+        through :meth:`match_fulfilled`.  A width-1 matrix was measured
+        1.2-1.5x slower per event than the set path (DESIGN §5), so
+        single-event publishing never moves onto it.  Larger batches run
+        one phase-1 pass (:meth:`IndexManager.match_batch_bits` for
+        engines with a matrix kernel, :meth:`IndexManager.match_batch`
+        otherwise) feeding one phase-2 batch call.
         """
-        return self.match_fulfilled_batch(self.indexes.match_batch(list(events)))
+        events = list(events)
+        if len(events) == 1:
+            return [self.match(events[0])]
+        if self.has_matrix_kernel:
+            return self.match_fulfilled_matrix(self.indexes.match_batch_bits(events))
+        return self.match_fulfilled_batch(self.indexes.match_batch(events))
 
     def match_fulfilled_batch(
         self, fulfilled_sets: Sequence[AbstractSet[int]]
     ) -> list[set[int]]:
         """Phase 2 over a batch of fulfilled predicate id sets.
 
-        The default delegates to :meth:`match_fulfilled` per event, so
-        every engine is batch-correct by construction; engines override
-        it to amortize per-event work (candidate buffers, vector
-        zeroing, page reads) across the batch.
+        Delegates to :meth:`match_fulfilled` once per *distinct*
+        assignment: batched workloads with repeated attribute values
+        (the Zipf case) produce repeated fulfilled-id sets, and each is
+        evaluated once per batch.  A repeat is answered from the memo —
+        it counts as a phase-2 call and its matches, with zero probes.
         """
-        return [self.match_fulfilled(fulfilled) for fulfilled in fulfilled_sets]
+        memo: dict[frozenset[int], set[int]] = {}
+        results: list[set[int]] = []
+        counters = self._counters
+        for fulfilled_ids in fulfilled_sets:
+            key = frozenset(fulfilled_ids)
+            cached = memo.get(key)
+            if cached is None:
+                cached = memo[key] = self.match_fulfilled(key)
+            else:
+                counters.phase2_calls += 1
+                counters.matches_found += len(cached)
+            results.append(set(cached))
+        return results
 
     def match_fulfilled_matrix(self, matrix: FulfilledMatrix) -> list[set[int]]:
         """Phase 2 over a column-major fulfilled-bit matrix.
 
         The bit-packed sibling of :meth:`match_fulfilled_batch` (see
         :mod:`repro.core.bitset`).  The default expands the matrix back
-        to per-event id sets and delegates, so every engine accepts a
-        matrix; the bitmap-kernel engines (counting, counting-variant,
-        non-canonical) override it with transposed word-wise evaluation
-        — and their ``match_batch`` feeds it from
-        :meth:`IndexManager.match_batch_bits`.  Result ``i`` always
-        equals ``match_fulfilled`` of event ``i``'s fulfilled set;
-        overrides change throughput and counter attribution (per-batch
-        instead of per-event probe units), never answers.
+        to per-event id sets, so every engine accepts a matrix; the
+        kernel engines (counting, counting-variant, non-canonical)
+        override it with transposed word-wise evaluation.  Result ``i``
+        always equals ``match_fulfilled`` of event ``i``'s fulfilled
+        set; kernels change throughput and counter attribution
+        (per-batch instead of per-event probe units), never answers.
         """
         return self.match_fulfilled_batch(matrix.to_id_sets())
 

@@ -10,19 +10,14 @@ idiom of the C++ exemplar in SNIPPETS.md Snippet 3):
   with free-list recycling and an epoch counter, owned by the
   :class:`~repro.indexes.manager.IndexManager` so every engine sharing a
   manager agrees on bit positions;
-* :class:`Bitmap` — a fixed-width bitmap over ``array('Q')`` machine
-  words: word-indexed set/test/clear, word-wise AND/OR/ANDNOT/NOT with
-  explicit trailing-word masking, and table-driven popcount.  This is
-  the explicit-word reference form; its operations are what the int
-  fast path below must agree with (and the unit tests prove it);
 * :class:`FulfilledMatrix` — the batch form: one *column* per predicate
   bit, each column an event-space integer whose bit ``i`` says "event
   ``i`` fulfils this predicate".  CPython's arbitrary-precision integers
   are little-endian arrays of machine words with C-level bitwise
-  operators, so ``column_a & column_b`` is exactly the word-loop
-  ``Bitmap.and_`` runs — minus the Python-level loop.  Evaluating a
-  subscription clause over the whole batch is then a handful of int
-  ANDs/ORs instead of per-event set algebra.
+  operators, so ``column_a & column_b`` is a word-wise AND with no
+  Python-level loop.  Evaluating a subscription clause over the whole
+  batch is then a handful of int ANDs/ORs instead of per-event set
+  algebra.
 
 The module is self-contained (no ``repro`` imports) so the index manager
 can import it lazily without touching the ``core`` package cycle.
@@ -43,32 +38,12 @@ instead of trusting the argument above.
 
 from __future__ import annotations
 
-from array import array
 from typing import Iterable, Iterator, Sequence
-
-#: Bits per bitmap word; matches the ``array('Q')`` element width.
-WORD_BITS = 64
-_WORD_MASK = (1 << WORD_BITS) - 1
-
-#: Table-driven popcount: set-bit count per byte value.  The C++ exemplar
-#: folds nibbles through a 16-entry table; one byte per entry keeps the
-#: lookup a single index on bytes-like views.
-POPCOUNT8 = bytes(bin(value).count("1") for value in range(256))
 
 
 def popcount(value: int) -> int:
-    """Set-bit count of a non-negative int (C-level ``bit_count``).
-
-    The int fast path of the table-driven :func:`popcount_bytes`; the
-    unit tests pin the two to each other across word boundaries.
-    """
+    """Set-bit count of a non-negative int (C-level ``bit_count``)."""
     return value.bit_count()
-
-
-def popcount_bytes(data: Iterable[int]) -> int:
-    """Table-driven popcount over a bytes-like view of bitmap words."""
-    table = POPCOUNT8
-    return sum(table[byte] for byte in data)
 
 
 def iter_bits(value: int) -> Iterator[int]:
@@ -77,138 +52,6 @@ def iter_bits(value: int) -> Iterator[int]:
         low = value & -value
         yield low.bit_length() - 1
         value ^= low
-
-
-def trailing_word_mask(nbits: int) -> int:
-    """Mask selecting the valid bits of an ``nbits`` bitmap's last word.
-
-    Full when ``nbits`` is a word multiple; otherwise the low
-    ``nbits % WORD_BITS`` bits.  Every :class:`Bitmap` operation that
-    could set bits past ``nbits`` (NOT, ``from_int``) applies it, so the
-    invariant "bits at or above ``nbits`` are zero" always holds.
-    """
-    remainder = nbits % WORD_BITS
-    return _WORD_MASK if remainder == 0 else (1 << remainder) - 1
-
-
-class Bitmap:
-    """Fixed-width bitmap backed by an ``array('Q')`` of machine words.
-
-    The explicit word-indexed form of the kernel: bit ``i`` lives in
-    word ``i >> 6`` at position ``i & 63``.  Binary operations require
-    equal widths; results are fresh bitmaps (operands untouched).
-    """
-
-    __slots__ = ("nbits", "words")
-
-    def __init__(self, nbits: int) -> None:
-        if nbits < 0:
-            raise ValueError("nbits must be non-negative")
-        self.nbits = nbits
-        word_count = (nbits + WORD_BITS - 1) // WORD_BITS
-        self.words = array("Q", bytes(8 * word_count))
-
-    # -- construction / conversion -------------------------------------
-    @classmethod
-    def from_int(cls, value: int, nbits: int) -> "Bitmap":
-        """Bitmap of width ``nbits`` from an int (excess bits masked off)."""
-        if value < 0:
-            raise ValueError("value must be non-negative")
-        bitmap = cls(nbits)
-        value &= (1 << nbits) - 1
-        words = bitmap.words
-        for index in range(len(words)):
-            words[index] = value & _WORD_MASK
-            value >>= WORD_BITS
-        return bitmap
-
-    def to_int(self) -> int:
-        """The bitmap as a little-endian-word integer."""
-        value = 0
-        shift = 0
-        for word in self.words:
-            value |= word << shift
-            shift += WORD_BITS
-        return value
-
-    # -- single-bit access ---------------------------------------------
-    def _check_index(self, index: int) -> None:
-        if not 0 <= index < self.nbits:
-            raise IndexError(f"bit {index} out of range [0, {self.nbits})")
-
-    def set(self, index: int) -> None:
-        self._check_index(index)
-        self.words[index >> 6] |= 1 << (index & 63)
-
-    def clear(self, index: int) -> None:
-        self._check_index(index)
-        self.words[index >> 6] &= _WORD_MASK ^ (1 << (index & 63))
-
-    def test(self, index: int) -> bool:
-        self._check_index(index)
-        return bool(self.words[index >> 6] & (1 << (index & 63)))
-
-    # -- word-wise binary operations -----------------------------------
-    def _check_width(self, other: "Bitmap") -> None:
-        if self.nbits != other.nbits:
-            raise ValueError(f"width mismatch: {self.nbits} vs {other.nbits} bits")
-
-    def and_(self, other: "Bitmap") -> "Bitmap":
-        """Word-wise AND (new bitmap)."""
-        self._check_width(other)
-        result = Bitmap(self.nbits)
-        result.words = array("Q", (a & b for a, b in zip(self.words, other.words)))
-        return result
-
-    def or_(self, other: "Bitmap") -> "Bitmap":
-        """Word-wise OR (new bitmap)."""
-        self._check_width(other)
-        result = Bitmap(self.nbits)
-        result.words = array("Q", (a | b for a, b in zip(self.words, other.words)))
-        return result
-
-    def andnot(self, other: "Bitmap") -> "Bitmap":
-        """Word-wise AND-NOT: bits set here and clear in ``other``."""
-        self._check_width(other)
-        result = Bitmap(self.nbits)
-        result.words = array(
-            "Q", (a & (b ^ _WORD_MASK) for a, b in zip(self.words, other.words))
-        )
-        return result
-
-    def invert(self) -> "Bitmap":
-        """Word-wise NOT, with the trailing word masked to ``nbits``."""
-        result = Bitmap(self.nbits)
-        result.words = array("Q", (word ^ _WORD_MASK for word in self.words))
-        if result.words:
-            result.words[-1] &= trailing_word_mask(self.nbits)
-        return result
-
-    # -- aggregate queries ---------------------------------------------
-    def popcount(self) -> int:
-        """Set-bit count, via the byte table (:data:`POPCOUNT8`)."""
-        return popcount_bytes(self.words.tobytes())
-
-    def __iter__(self) -> Iterator[int]:
-        """Ascending positions of the set bits."""
-        base = 0
-        for word in self.words:
-            while word:
-                low = word & -word
-                yield base + low.bit_length() - 1
-                word ^= low
-            base += WORD_BITS
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Bitmap):
-            return NotImplemented
-        return self.nbits == other.nbits and self.words == other.words
-
-    def __len__(self) -> int:
-        return self.nbits
-
-    def __repr__(self) -> str:
-        return f"Bitmap(nbits={self.nbits}, value={self.to_int():#x})"
 
 
 class BitLayout:
@@ -349,8 +192,7 @@ class FulfilledMatrix:
         """Transpose per-event fulfilled-id sets into column form.
 
         The set-based reference construction — tests pit engine matrix
-        paths against set paths through it, and the sharded runtime uses
-        it when an executor hands it plain sets.
+        paths against set paths through it.
         """
         columns = [0] * layout.capacity
         active_bits: list[int] = []
@@ -385,10 +227,6 @@ class FulfilledMatrix:
             if columns[bit] & event_bit:
                 row |= 1 << bit
         return row
-
-    def row_bitmap(self, index: int) -> Bitmap:
-        """Event ``index``'s row as a :class:`Bitmap` over the layout."""
-        return Bitmap.from_int(self.row(index), self.layout.capacity)
 
     def select(self, indices: Sequence[int]) -> "FulfilledMatrix":
         """Sub-matrix over the events at ``indices`` (renumbered densely).

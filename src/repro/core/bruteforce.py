@@ -94,7 +94,12 @@ class BruteForceEngine(FilterEngine):
 
     def match_batch(self, events: Sequence[Event]) -> list[set[int]]:
         """Per-event direct evaluation — this engine's ``match`` bypasses
-        the shared indexes, so its batch path must too."""
+        the shared indexes, so its batch path must too.
+
+        One of the two documented exceptions to the one-per-event-method
+        contract (see :mod:`repro.core.base`): as the oracle, this
+        engine never consumes phase 1 on the full matching path.
+        """
         return [self.match(event) for event in events]
 
     def match_fulfilled(self, fulfilled_ids: AbstractSet[int]) -> set[int]:
@@ -109,25 +114,6 @@ class BruteForceEngine(FilterEngine):
         counters.candidates_probed += len(self._trees)
         counters.matches_found += len(matched)
         return matched
-
-    def match_fulfilled_batch(
-        self, fulfilled_sets: Sequence[AbstractSet[int]]
-    ) -> list[set[int]]:
-        """Batch phase-2-only mode: identical assignments evaluate once."""
-        memo: dict[frozenset[int], set[int]] = {}
-        results: list[set[int]] = []
-        counters = self._counters
-        for fulfilled_ids in fulfilled_sets:
-            key = frozenset(fulfilled_ids)
-            cached = memo.get(key)
-            if cached is None:
-                cached = memo[key] = self.match_fulfilled(key)
-            else:
-                # memo hit: answered without evaluating any tree
-                counters.phase2_calls += 1
-                counters.matches_found += len(cached)
-            results.append(set(cached))
-        return results
 
     def memory_breakdown(self) -> Mapping[str, int]:
         """Tree bytes under the basic encoding cost model (no tables).

@@ -29,9 +29,8 @@ difference.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Mapping, Sequence
+from typing import AbstractSet, Mapping
 
-from ..events.event import Event
 from ..indexes.manager import IndexManager
 from ..memory.cost_model import DEFAULT_COST_MODEL, CostModel
 from ..predicates.predicate import Predicate
@@ -272,54 +271,6 @@ class CountingEngine(FilterEngine):
         counters.matches_found += len(matched)
         return matched
 
-    def match_fulfilled_batch(
-        self, fulfilled_sets: Sequence[AbstractSet[int]]
-    ) -> list[set[int]]:
-        """Batch counting: one zero-template and hoisted table locals.
-
-        The per-event full-clause comparison is preserved — it is the
-        linear-in-N behaviour the engine exists to exhibit — but the
-        zeroing buffer and the attribute lookups are paid once per batch
-        instead of once per event.
-        """
-        hits = self._hits
-        association = self._association
-        counts = self._counts
-        clause_subscription = self._clause_subscription
-        zero = bytes(len(hits))
-        results: list[set[int]] = []
-        matched_total = 0
-        for fulfilled_ids in fulfilled_sets:
-            for pid in fulfilled_ids:
-                clauses = association.get(pid)
-                if clauses is not None:
-                    for clause_index in clauses:
-                        hits[clause_index] += 1
-            matched: set[int] = set()
-            for clause_index, required in enumerate(counts):
-                if required and hits[clause_index] == required:
-                    matched.add(clause_subscription[clause_index])
-            hits[:] = zero
-            matched_total += len(matched)
-            results.append(matched)
-        counters = self._counters
-        counters.phase2_calls += len(results)
-        counters.candidates_probed += len(counts) * len(results)
-        counters.matches_found += matched_total
-        return results
-
-    def match_batch(self, events: Sequence[Event]) -> list[set[int]]:
-        """Route real batches through the bit-packed kernel (PR 8).
-
-        Single events keep the per-event set path (identical counters to
-        ``match``); batches take phase 1 in column form and the matrix
-        phase 2 below.
-        """
-        events = list(events)
-        if len(events) <= 1:
-            return super().match_batch(events)
-        return self.match_fulfilled_matrix(self.indexes.match_batch_bits(events))
-
     def match_fulfilled_matrix(self, matrix: FulfilledMatrix) -> list[set[int]]:
         """Counting over the batch: requirement-mask AND per clause.
 
@@ -437,43 +388,6 @@ class CountingVariantEngine(CountingEngine):
         counters.candidates_probed += len(touched)  # touched clauses only
         counters.matches_found += len(matched)
         return matched
-
-    def match_fulfilled_batch(
-        self, fulfilled_sets: Sequence[AbstractSet[int]]
-    ) -> list[set[int]]:
-        """Batch variant counting: touched-clause buffer reused per event."""
-        hits = self._hits
-        association = self._association
-        counts = self._counts
-        clause_subscription = self._clause_subscription
-        touched: list[int] = []
-        extend = touched.extend
-        results: list[set[int]] = []
-        probed_total = 0
-        matched_total = 0
-        for fulfilled_ids in fulfilled_sets:
-            touched.clear()
-            for pid in fulfilled_ids:
-                clauses = association.get(pid)
-                if clauses is not None:
-                    extend(clauses)
-                    for clause_index in clauses:
-                        hits[clause_index] += 1
-            matched: set[int] = set()
-            for clause_index in touched:
-                hit = hits[clause_index]
-                if hit:  # first visit of this clause; reset as we go
-                    if hit == counts[clause_index]:
-                        matched.add(clause_subscription[clause_index])
-                    hits[clause_index] = 0
-            probed_total += len(touched)
-            matched_total += len(matched)
-            results.append(matched)
-        counters = self._counters
-        counters.phase2_calls += len(results)
-        counters.candidates_probed += probed_total
-        counters.matches_found += matched_total
-        return results
 
     def match_fulfilled_matrix(self, matrix: FulfilledMatrix) -> list[set[int]]:
         """Candidate-driven counting over the batch.

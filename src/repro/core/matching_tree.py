@@ -25,7 +25,7 @@ exceeds the one-dimensional engines' (claim §2.1, bench C5).
 
 from __future__ import annotations
 
-from typing import AbstractSet, Mapping, Sequence
+from typing import AbstractSet, Mapping
 
 from ..events.event import Event
 from ..indexes.manager import IndexManager
@@ -239,32 +239,6 @@ class MatchingTreeEngine(FilterEngine):
         counters.candidates_probed += visited  # tree nodes walked
         counters.matches_found += len(matched)
         return matched
-
-    def match_fulfilled_batch(
-        self, fulfilled_sets: Sequence[AbstractSet[int]]
-    ) -> list[set[int]]:
-        """Batch tree walking: identical assignments walk the tree once.
-
-        Batched workloads with repeated attribute values (the Zipf case)
-        produce repeated fulfilled-id sets; the walk is memoized on the
-        frozen assignment so each distinct one traverses the tree once
-        per batch.
-        """
-        memo: dict[frozenset[int], set[int]] = {}
-        results: list[set[int]] = []
-        counters = self._counters
-        for fulfilled_ids in fulfilled_sets:
-            key = frozenset(fulfilled_ids)
-            cached = memo.get(key)
-            if cached is None:
-                cached = memo[key] = self.match_fulfilled(key)
-            else:
-                # memo hit: an answer was produced without walking —
-                # a call with zero probes, which is the point of the memo
-                counters.phase2_calls += 1
-                counters.matches_found += len(cached)
-            results.append(set(cached))
-        return results
 
     def match_single_step(self, event: Event) -> set[int]:
         """One-step multi-dimensional matching, straight off the event.

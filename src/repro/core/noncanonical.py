@@ -21,7 +21,7 @@ count — not the registered subscription count.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Mapping, Sequence
+from typing import AbstractSet, Mapping
 
 from ..indexes.manager import IndexManager
 from ..memory.cost_model import DEFAULT_COST_MODEL, CostModel
@@ -33,7 +33,6 @@ from ..subscriptions.compiler import (
     CompiledTree,
     compile_tree,
 )
-from ..events.event import Event
 from ..subscriptions.encoding import BasicTreeCodec, TreeArena, VarintTreeCodec
 from ..subscriptions.subscription import Subscription
 from ..subscriptions.tree import SubscriptionTree
@@ -204,68 +203,14 @@ class NonCanonicalEngine(FilterEngine):
     # matching
     # ------------------------------------------------------------------
     def match_fulfilled(self, fulfilled_ids: AbstractSet[int]) -> set[int]:
-        """Candidate selection + subscription tree evaluation (paper §3.2).
+        """Candidate selection + subscription tree evaluation (paper §3.2)."""
+        return self._match_candidates(self.candidates_for(fulfilled_ids), fulfilled_ids)
 
-        Candidate collection walks the smaller side of the association
-        join: normally the fulfilled ids, but when this engine holds
-        fewer associations than the event fulfilled predicates — the
-        sharded runtime's small shards — the table itself.  Either walk
-        produces the same candidate set; the small-table form is what
-        keeps a pruned shard's probe cost proportional to the shard,
-        not to the event.
-        """
-        association = self._association
-        candidates: set[int] = set(self._empty_assignment_matchers)
-        if len(association) < len(fulfilled_ids):
-            for pid, referencing in association.items():
-                if pid in fulfilled_ids:
-                    candidates.update(referencing)
-        else:
-            for pid in fulfilled_ids:
-                referencing = association.get(pid)
-                if referencing is not None:
-                    candidates.update(referencing)
-        return self._match_candidates(candidates, fulfilled_ids)
-
-    def match_fulfilled_batch(
-        self, fulfilled_sets: Sequence[AbstractSet[int]]
-    ) -> list[set[int]]:
-        """Batch phase 2: one candidate buffer, compiled forms looked up
-        through hoisted locals, reused across every event in the batch.
-        Candidate collection joins through the smaller side, as in
-        :meth:`match_fulfilled`."""
-        association = self._association
-        empty_matchers = self._empty_assignment_matchers
-        match_candidates = self._match_candidates
-        association_size = len(association)
-        candidates: set[int] = set()
-        results: list[set[int]] = []
-        for fulfilled_ids in fulfilled_sets:
-            candidates.clear()
-            candidates.update(empty_matchers)
-            if association_size < len(fulfilled_ids):
-                for pid, referencing in association.items():
-                    if pid in fulfilled_ids:
-                        candidates.update(referencing)
-            else:
-                for pid in fulfilled_ids:
-                    referencing = association.get(pid)
-                    if referencing is not None:
-                        candidates.update(referencing)
-            results.append(match_candidates(candidates, fulfilled_ids))
-        return results
-
-    def match_batch(self, events: Sequence[Event]) -> list[set[int]]:
-        """Route real batches through the bit-packed kernel (PR 8).
-
-        Single events and the encoded-evaluation ablation keep the set
-        path; compiled batches take phase 1 in column form and the
-        matrix phase 2 below.
-        """
-        events = list(events)
-        if len(events) <= 1 or self._evaluation != "compiled":
-            return super().match_batch(events)
-        return self.match_fulfilled_matrix(self.indexes.match_batch_bits(events))
+    @property
+    def has_matrix_kernel(self) -> bool:
+        """The kernel evaluates the compiled bit forms, so the
+        ``evaluation="encoded"`` ablation has none."""
+        return self._evaluation == "compiled"
 
     def match_fulfilled_matrix(self, matrix: FulfilledMatrix) -> list[set[int]]:
         """Batch phase 2 on the bit kernel: one mask test per candidate.
@@ -280,7 +225,7 @@ class NonCanonicalEngine(FilterEngine):
         once per candidate per *batch*; ``matches_found`` still counts
         (event, subscription) pairs, identical to the set paths.
         """
-        if self._evaluation != "compiled":
+        if not self.has_matrix_kernel:
             return super().match_fulfilled_matrix(matrix)
         event_count = matrix.event_count
         if event_count == 0:
@@ -350,9 +295,8 @@ class NonCanonicalEngine(FilterEngine):
     ) -> set[int]:
         """Evaluate each candidate's subscription tree on the assignment.
 
-        Both the per-event and the batch path funnel through here, so
-        this is also where the work counters tick: probes are candidate
-        trees evaluated — the paper's key quantity.
+        This is where the set path's work counters tick: probes are
+        candidate trees evaluated — the paper's key quantity.
         """
         counters = self._counters
         counters.phase2_calls += 1
@@ -391,13 +335,26 @@ class NonCanonicalEngine(FilterEngine):
         return matched
 
     def candidates_for(self, fulfilled_ids: AbstractSet[int]) -> set[int]:
-        """The candidate subscription set for a fulfilled-id set (for tests
-        and instrumentation)."""
+        """The candidate subscription set for a fulfilled-id set.
+
+        Walks the smaller side of the association join: normally the
+        fulfilled ids, but when this engine holds fewer associations
+        than the event fulfilled predicates — the sharded runtime's
+        small shards — the table itself.  Either walk produces the same
+        candidate set; the small-table form is what keeps a pruned
+        shard's probe cost proportional to the shard, not to the event.
+        """
+        association = self._association
         candidates: set[int] = set(self._empty_assignment_matchers)
-        for pid in fulfilled_ids:
-            referencing = self._association.get(pid)
-            if referencing is not None:
-                candidates.update(referencing)
+        if len(association) < len(fulfilled_ids):
+            for pid, referencing in association.items():
+                if pid in fulfilled_ids:
+                    candidates.update(referencing)
+        else:
+            for pid in fulfilled_ids:
+                referencing = association.get(pid)
+                if referencing is not None:
+                    candidates.update(referencing)
         return candidates
 
     def subscriber_of(self, subscription_id: int) -> str | None:

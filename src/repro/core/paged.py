@@ -264,6 +264,10 @@ class PagedNonCanonicalEngine(FilterEngine):
     ) -> list[set[int]]:
         """Batch phase 2 with one offset-ordered pass over the store.
 
+        This engine's one batch kernel, and the one set-based kernel in
+        the registry (see :mod:`repro.core.base`): it replaces the
+        base class's memoized per-assignment fallback.
+
         Candidate sets are computed for the whole batch first, then every
         distinct candidate tree is read exactly once, in arena-offset
         order — sequential page access, so a page shared by several

@@ -53,21 +53,16 @@ Executor strategies
     Evaluate shards one after another in the calling thread.  The
     default: deterministic, zero overhead, the right choice for CI and
     for correctness baselines.
-``thread``
-    Evaluate shards concurrently on a thread pool.  Pure-Python phase-2
-    code holds the GIL, so this mainly helps engines that block (the
-    paged engine's disk reads); it exists as the cheap concurrency
-    strategy and as the template for GIL-free runtimes.
 ``process``
     Fork one long-lived worker per shard.  Workers rebuild their shard
     from ``spec`` + subscription slice at start and stay current under
     churn (register/unregister commands are forwarded).  Only
-    :meth:`ShardedEngine.match_batch` is routed to workers — phase-2-only
-    entry points (``match_fulfilled``) take fulfilled predicate ids that
-    are parent-registry-relative, which a rebuilt worker cannot
-    interpret, so they fall back to the in-process shards.  Routed
-    pruning composes: each worker receives only the events its shard is
-    a candidate for.
+    :meth:`ShardedEngine.match_batch` (and ``match``, a batch of one) is
+    routed to workers — phase-2-only entry points (``match_fulfilled``)
+    take fulfilled predicate ids that are parent-registry-relative,
+    which a rebuilt worker cannot interpret, so they fall back to the
+    in-process shards.  Routed pruning composes: each worker receives
+    only the events its shard is a candidate for.
 """
 
 from __future__ import annotations
@@ -75,7 +70,6 @@ from __future__ import annotations
 import abc
 import multiprocessing
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from typing import AbstractSet, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from ..events.event import Event
@@ -598,15 +592,14 @@ class ShardExecutor(abc.ABC):
     def match_batch_events(
         self,
         events: Sequence[Event],
-        shard_events: Sequence[Sequence[int]] | None = None,
+        shard_events: Sequence[Sequence[int]],
     ) -> list[set[int]] | None:
         """Full two-phase batch matching, or ``None`` to use the
-        in-process phase-1 + ``match_fulfilled_batch`` pipeline.
+        in-process phase-1 + phase-2 pipeline.
 
-        ``shard_events[s]``, when given, lists (ascending) the indices
-        of the events shard ``s`` is a candidate for — the executor must
-        evaluate only those and may skip shards with an empty list.
-        ``None`` means every shard sees every event.
+        ``shard_events[s]`` lists (ascending) the indices of the events
+        shard ``s`` is a candidate for — the executor must evaluate only
+        those and may skip shards with an empty list.
         """
         return None
 
@@ -618,30 +611,6 @@ class SerialExecutor(ShardExecutor):
 
     def map_shards(self, jobs: Sequence[Callable[[], T]]) -> list[T]:
         return [job() for job in jobs]
-
-
-class ThreadExecutor(ShardExecutor):
-    """Evaluate shards concurrently on a lazily-created thread pool."""
-
-    name = "thread"
-
-    def __init__(self) -> None:
-        self._pool: ThreadPoolExecutor | None = None
-
-    def map_shards(self, jobs: Sequence[Callable[[], T]]) -> list[T]:
-        if len(jobs) <= 1:
-            return [job() for job in jobs]
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._engine.shard_count,
-                thread_name_prefix="repro-shard",
-            )
-        return list(self._pool.map(lambda job: job(), jobs))
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
 
 def _shard_worker_main(
@@ -701,7 +670,7 @@ class ProcessExecutor(ShardExecutor):
     serial usage never pays the fork) and rebuilt shards stay current:
     registrations after start are forwarded as commands.  Requires the
     ``fork`` start method — on platforms without it construction of the
-    worker pool raises, and callers should use ``serial`` or ``thread``.
+    worker pool raises, and callers should use ``serial``.
     """
 
     name = "process"
@@ -719,8 +688,7 @@ class ProcessExecutor(ShardExecutor):
         if "fork" not in multiprocessing.get_all_start_methods():
             raise ShardWorkerError(
                 "the process executor needs the 'fork' start method "
-                "(unavailable on this platform); use executor='serial' "
-                "or 'thread'"
+                "(unavailable on this platform); use executor='serial'"
             )
         context = multiprocessing.get_context("fork")
         slices = engine.shard_subscription_slices()
@@ -809,12 +777,10 @@ class ProcessExecutor(ShardExecutor):
     def match_batch_events(
         self,
         events: Sequence[Event],
-        shard_events: Sequence[Sequence[int]] | None = None,
+        shard_events: Sequence[Sequence[int]],
     ) -> list[set[int]]:
         self._ensure_started()
         payload = list(events)
-        if shard_events is None:
-            shard_events = [range(len(payload))] * len(self._connections)
         live = [
             (shard, list(indices))
             for shard, indices in enumerate(shard_events)
@@ -885,7 +851,6 @@ def make_executor(executor: ShardExecutor | str) -> ShardExecutor:
 
 
 register_executor("serial", SerialExecutor)
-register_executor("thread", ThreadExecutor)
 register_executor("process", ProcessExecutor)
 
 
@@ -909,8 +874,7 @@ class ShardedEngine(FilterEngine):
         or a :class:`ShardPartitioner` instance.
     executor:
         Evaluation strategy: a registered name (``"serial"``,
-        ``"thread"``, ``"process"``) or a :class:`ShardExecutor`
-        instance.
+        ``"process"``) or a :class:`ShardExecutor` instance.
     registry / indexes:
         Shared phase-1 state, as for every engine; all shards share it,
         so one phase-1 pass serves every shard.
@@ -956,14 +920,10 @@ class ShardedEngine(FilterEngine):
         self._executor.bind(self)
         self.name = f"{self._shards[0].name}×{shards}"
         # one shared phase-1 bit matrix can feed every shard's phase 2
-        # iff every shard actually overrides the matrix hook; otherwise
-        # the set pipeline stays (expanding the matrix per shard would
-        # multiply the transpose cost by the shard count)
-        self._matrix_capable = all(
-            type(shard).match_fulfilled_matrix
-            is not FilterEngine.match_fulfilled_matrix
-            for shard in self._shards
-        )
+        # iff the shards have a matrix kernel; otherwise the set pipeline
+        # stays (expanding the matrix per shard would multiply the
+        # transpose cost by the shard count)
+        self._matrix_capable = all(shard.has_matrix_kernel for shard in self._shards)
 
     # ------------------------------------------------------------------
     # introspection
@@ -1096,21 +1056,9 @@ class ShardedEngine(FilterEngine):
     # matching
     # ------------------------------------------------------------------
     def match(self, event: Event) -> set[int]:
-        """Two-phase matching with shard pruning: phase 1 runs once, and
-        phase 2 visits only the partitioner's candidate shards."""
-        candidates = sorted(self._partitioner.candidate_shards(event))
-        self._counters.shards_probed += len(candidates)
-        self._counters.shards_pruned += self.shard_count - len(candidates)
-        if not candidates:
-            return set()
-        fulfilled = self.indexes.match(event)
-        answers = self._executor.map_shards(
-            [
-                lambda shard=shard: self._shards[shard].match_fulfilled(fulfilled)
-                for shard in candidates
-            ]
-        )
-        return set().union(*answers)
+        """A batch of one through :meth:`match_batch` (same pruning,
+        counters and executor)."""
+        return self.match_batch([event])[0]
 
     def match_fulfilled(self, fulfilled_ids: AbstractSet[int]) -> set[int]:
         """Union of the shards' phase-2 answers, via the executor.
@@ -1126,26 +1074,17 @@ class ShardedEngine(FilterEngine):
         )
         return set().union(*answers)
 
-    def match_fulfilled_batch(
-        self, fulfilled_sets: Sequence[AbstractSet[int]]
-    ) -> list[set[int]]:
-        answers = self._executor.map_shards(
-            [
-                lambda shard=shard: shard.match_fulfilled_batch(fulfilled_sets)
-                for shard in self._shards
-            ]
-        )
-        return [
-            set().union(*(shard_sets[i] for shard_sets in answers))
-            for i in range(len(fulfilled_sets))
-        ]
-
     def _partition_events(self, events: Sequence[Event]) -> list[list[int]]:
         """Per-shard candidate-event index lists (ascending), counted.
 
         ``result[s]`` holds the indices of the events shard ``s`` must
         evaluate; events routed away from a shard are counted as pruned.
+        A non-routing partitioner gives every shard every event.
         """
+        counters = self._counters
+        if not self._partitioner.routes:
+            counters.shards_probed += self.shard_count * len(events)
+            return [list(range(len(events)))] * self.shard_count
         shard_events: list[list[int]] = [[] for _ in range(self.shard_count)]
         probed = 0
         partitioner = self._partitioner
@@ -1154,85 +1093,65 @@ class ShardedEngine(FilterEngine):
             for shard in candidates:
                 shard_events[shard].append(index)
             probed += len(candidates)
-        self._counters.shards_probed += probed
-        self._counters.shards_pruned += (
-            self.shard_count * len(events) - probed
-        )
+        counters.shards_probed += probed
+        counters.shards_pruned += self.shard_count * len(events) - probed
         return shard_events
 
     def match_batch(self, events: Sequence[Event]) -> list[set[int]]:
         """Batch matching; the executor may claim the whole pipeline.
 
-        A routing partitioner first computes each event's candidate
-        shard subset; pruned shards are never probed.  The process
-        executor then ships each worker only its candidate events; the
-        in-process strategies run one shared phase-1 pass and fan
-        phase 2 out across the candidate shards — sliced from one
-        column-major bit matrix (:meth:`FulfilledMatrix.select`) when
-        every shard speaks the PR 8 kernel, as per-event id sets
-        otherwise.
+        The partitioner first computes each event's candidate shard
+        subset; pruned shards are never probed.  The process executor
+        then ships each worker only its candidate events; in-process,
+        one shared phase-1 pass feeds phase 2 on the candidate shards —
+        sliced from one column-major bit matrix
+        (:meth:`FulfilledMatrix.select`) when the shards have a matrix
+        kernel, as per-event id sets otherwise.  A batch of one takes
+        the per-event phase 1 and ``match_fulfilled``, as on every
+        engine.
         """
         events = list(events)
         if not events:
             return []
-        if self._partitioner.routes:
-            shard_events = self._partition_events(events)
-        else:
-            shard_events = None
-            self._counters.shards_probed += self.shard_count * len(events)
+        shard_events = self._partition_events(events)
         routed = self._executor.match_batch_events(events, shard_events)
         if routed is not None:
             return routed
-        if shard_events is None:
-            return self._match_batch_all(events)
         results: list[set[int]] = [set() for _ in events]
         live = [
-            (shard, indices)
+            (self._shards[shard], indices)
             for shard, indices in enumerate(shard_events)
             if indices
         ]
         if not live:
             return results
-        if self._matrix_capable and len(events) > 1:
+        if len(events) == 1:
+            fulfilled_ids = self.indexes.match(events[0])
+            jobs = [
+                lambda shard=shard: [shard.match_fulfilled(fulfilled_ids)]
+                for shard, _ in live
+            ]
+        elif self._matrix_capable:
             matrix = self.indexes.match_batch_bits(events)
-            answers = self._executor.map_shards(
-                [
-                    lambda shard=shard, indices=indices: self._shards[
-                        shard
-                    ].match_fulfilled_matrix(matrix.select(indices))
-                    for shard, indices in live
-                ]
-            )
+            jobs = [
+                lambda shard=shard, indices=indices: shard.match_fulfilled_matrix(
+                    matrix.select(indices)
+                )
+                for shard, indices in live
+            ]
         else:
             fulfilled = self.indexes.match_batch(events)
-            answers = self._executor.map_shards(
-                [
-                    lambda shard=shard, indices=indices: self._shards[
-                        shard
-                    ].match_fulfilled_batch([fulfilled[i] for i in indices])
-                    for shard, indices in live
-                ]
-            )
-        for (shard, indices), shard_sets in zip(live, answers):
+            jobs = [
+                lambda shard=shard, indices=indices: shard.match_fulfilled_batch(
+                    [fulfilled[i] for i in indices]
+                )
+                for shard, indices in live
+            ]
+        answers = self._executor.map_shards(jobs)
+        for (_, indices), shard_sets in zip(live, answers):
             for position, index in enumerate(indices):
                 results[index] |= shard_sets[position]
         return results
-
-    def _match_batch_all(self, events: list[Event]) -> list[set[int]]:
-        """Full-fan-out batch path (non-routing partitioners)."""
-        if self._matrix_capable and len(events) > 1:
-            matrix = self.indexes.match_batch_bits(events)
-            answers = self._executor.map_shards(
-                [
-                    lambda shard=shard: shard.match_fulfilled_matrix(matrix)
-                    for shard in self._shards
-                ]
-            )
-            return [
-                set().union(*(shard_sets[i] for shard_sets in answers))
-                for i in range(len(events))
-            ]
-        return self.match_fulfilled_batch(self.indexes.match_batch(events))
 
     # ------------------------------------------------------------------
     # memory accounting

@@ -8,7 +8,6 @@ warning).
 
 from .harness import (
     DEFAULT_BATCH_SIZES,
-    DEFAULT_ENGINE_FACTORIES,
     DEFAULT_ENGINES,
     DEFAULT_SHARD_COUNTS,
     ShardScalingPoint,
@@ -44,7 +43,6 @@ from .variance import Measurement, measure_until_stable
 
 __all__ = [
     "DEFAULT_BATCH_SIZES",
-    "DEFAULT_ENGINE_FACTORIES",
     "DEFAULT_ENGINES",
     "EngineSweep",
     "SweepPoint",

@@ -21,12 +21,10 @@ detection) back the claims benchmarks C2-C4.
 
 from __future__ import annotations
 
-import functools
 import random
 import time
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..core.base import FilterEngine
 from ..core.registry import EngineSpec, build_engine
@@ -40,8 +38,6 @@ from ..workloads.generator import (
     PaperSubscriptionGenerator,
 )
 
-EngineFactory = Callable[..., FilterEngine]
-
 #: The engines the paper's Figure 3 compares, as registry specs —
 #: engine sweeps are data, not imports.
 DEFAULT_ENGINES: tuple[str, ...] = (
@@ -49,38 +45,6 @@ DEFAULT_ENGINES: tuple[str, ...] = (
     "counting-variant",
     "counting",
 )
-
-#: Deprecated pre-registry spelling of :data:`DEFAULT_ENGINES`; kept one
-#: release as real factory callables (the old contract: each entry is
-#: called with ``registry=``/``indexes=``).
-DEFAULT_ENGINE_FACTORIES: tuple[EngineFactory, ...] = tuple(
-    functools.partial(build_engine, name) for name in DEFAULT_ENGINES
-)
-
-
-def _pick_engine_entries(
-    engines: Sequence | None,
-    engine_factories: Sequence[EngineFactory] | None,
-) -> Sequence:
-    """Resolve the ``engines``/``engine_factories`` pair of a sweep.
-
-    ``engine_factories`` is the deprecated spelling; passing both is an
-    error rather than a silent preference.
-    """
-    if engines is not None and engine_factories is not None:
-        raise TypeError(
-            "pass either engines= or the deprecated engine_factories=, "
-            "not both"
-        )
-    if engine_factories is not None:
-        warnings.warn(
-            "engine_factories= is deprecated and will be removed next "
-            "release; pass engines= (registry names, specs, or factories)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return engine_factories
-    return engines if engines is not None else DEFAULT_ENGINES
 
 
 def _materialize_engines(
@@ -204,7 +168,6 @@ def run_sweep(
     machine: SimulatedMachine,
     events_per_point: int = 5,
     engines: Sequence | None = None,
-    engine_factories: Sequence[EngineFactory] | None = None,
     seed: int = 0,
     repeats: int = 3,
     verify_agreement: bool = True,
@@ -212,7 +175,7 @@ def run_sweep(
     """Run one panel's sweep across all engines.
 
     ``engines`` entries are registry names, engine specs, or factory
-    callables (``engine_factories`` is the deprecated alias).
+    callables.
     ``subscription_counts`` must be ascending; registration is
     incremental so the total registration work equals one run at the
     largest count.
@@ -223,7 +186,7 @@ def run_sweep(
     registry = PredicateRegistry()
     indexes = IndexManager()
     engines = _materialize_engines(
-        _pick_engine_entries(engines, engine_factories),
+        engines if engines is not None else DEFAULT_ENGINES,
         registry=registry,
         indexes=indexes,
     )
@@ -388,7 +351,6 @@ def run_throughput_sweep(
     value_range: int = 64,
     skew: float = 1.1,
     engines: Sequence | None = None,
-    engine_factories: Sequence[EngineFactory] | None = None,
     seed: int = 0,
     repeats: int = 3,
     verify_agreement: bool = True,
@@ -396,7 +358,7 @@ def run_throughput_sweep(
     """The batched sweep: events/sec per engine per batch size.
 
     ``engines`` entries are registry names, engine specs, or factory
-    callables (``engine_factories`` is the deprecated alias).  All
+    callables.  All
     engines share one registry and index manager (identical phase 1,
     as everywhere in the reproduction) and are loaded with the same
     paper-shaped subscription population.  The event stream is
@@ -411,7 +373,7 @@ def run_throughput_sweep(
     registry = PredicateRegistry()
     indexes = IndexManager()
     engines = _materialize_engines(
-        _pick_engine_entries(engines, engine_factories),
+        engines if engines is not None else DEFAULT_ENGINES,
         registry=registry,
         indexes=indexes,
     )

@@ -143,20 +143,20 @@ def test_match_batch_parity_across_unregister_interleavings(spec, allow_not):
 
 
 def test_match_fulfilled_batch_default_fallback():
-    """The base-class default must already be batch-correct for any
-    engine that doesn't override it."""
+    """The base-class default (memoized on identical assignments) must
+    be batch-correct for any engine that doesn't override it."""
     engine = EngineSpec("noncanonical").build()
     _register_population(engine, allow_not=True, count=20)
     events = _random_events(random.Random(3), 16)
-    fulfilled_sets = engine.indexes.match_batch(events)
+    fulfilled_sets = engine.indexes.match_batch(events + events[:4])
     from repro import FilterEngine
 
     fallback = FilterEngine.match_fulfilled_batch(engine, fulfilled_sets)
-    assert fallback == engine.match_fulfilled_batch(fulfilled_sets)
+    assert fallback == [engine.match_fulfilled(ids) for ids in fulfilled_sets]
 
 
 def test_broker_publish_batch_parity():
-    """publish_batch must deliver exactly what per-event publish does,
+    """publish(list) must deliver exactly what per-event publish does,
     with identical stats movement."""
     broker = Broker("edge")
     received = []
@@ -174,7 +174,7 @@ def test_broker_publish_batch_parity():
         broker.stats.events_matched,
         broker.stats.notifications_delivered,
     )
-    batched = broker.publish_batch(events)
+    batched = broker.publish(events)
 
     assert batched == sequential
     assert broker.stats.events_published == 2 * len(events)
@@ -207,7 +207,7 @@ def test_network_publish_batch_parity():
 
     sequential = [network.publish("b", event) for event in events]
     matches_before = network.stats.matches_computed
-    batched = network.publish_batch("b", events)
+    batched = network.publish("b", events)
 
     # per-event delivery order follows that event's own traversal; the
     # batched traversal may differ, so compare as sets per event.
@@ -220,4 +220,4 @@ def test_network_publish_batch_parity():
 def test_network_publish_batch_empty():
     network = BrokerNetwork()
     network.add_broker(Broker("solo"))
-    assert network.publish_batch("solo", []) == []
+    assert network.publish("solo", []) == []

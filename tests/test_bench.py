@@ -98,12 +98,12 @@ class TestRecords:
         assert environment["machine"]
 
     def test_record_key_is_the_comparison_identity(self):
-        record = make_record(shards=4, executor="thread")
+        record = make_record(shards=4, executor="process")
         assert record.key == (
             "throughput",
             "noncanonical",
             4,
-            "thread",
+            "process",
             "hash",
             256,
         )

@@ -2,8 +2,7 @@
 
 Three layers of proof, bottom-up:
 
-* the bitmap primitives (`popcount` table, word-indexed `Bitmap`,
-  trailing-word masking) agree with Python's int bit operations across
+* the int bit primitives (`popcount`, `iter_bits`) are exact across
   word boundaries;
 * `BitLayout` recycles released bit positions without ever handing a
   live bit two meanings, and `IndexManager.match_batch_bits` stays in
@@ -24,17 +23,7 @@ from hypothesis import strategies as st
 
 from helpers import SELECTED_ENGINE, event_strategy, predicate_strategy
 from repro import EngineSpec, UnsupportedSubscriptionError
-from repro.core.bitset import (
-    POPCOUNT8,
-    WORD_BITS,
-    BitLayout,
-    Bitmap,
-    FulfilledMatrix,
-    iter_bits,
-    popcount,
-    popcount_bytes,
-    trailing_word_mask,
-)
+from repro.core.bitset import BitLayout, FulfilledMatrix, iter_bits, popcount
 from repro.events import Event
 from repro.indexes import IndexManager
 from repro.predicates import Operator, Predicate, PredicateRegistry
@@ -57,121 +46,15 @@ BOUNDARY_VALUES = [
 
 
 class TestPrimitives:
-    def test_popcount_table_is_per_byte_bit_count(self):
-        assert len(POPCOUNT8) == 256
-        for byte in range(256):
-            assert POPCOUNT8[byte] == byte.bit_count()
-
     @pytest.mark.parametrize("value", BOUNDARY_VALUES, ids=lambda v: f"{v:#x}")
     def test_popcount_matches_bit_count(self, value):
         assert popcount(value) == value.bit_count()
-
-    @pytest.mark.parametrize("value", BOUNDARY_VALUES, ids=lambda v: f"{v:#x}")
-    def test_popcount_bytes_matches_int_popcount(self, value):
-        width = max(1, (value.bit_length() + 7) // 8)
-        data = value.to_bytes(width, "little")
-        assert popcount_bytes(data) == value.bit_count()
 
     @pytest.mark.parametrize("value", BOUNDARY_VALUES, ids=lambda v: f"{v:#x}")
     def test_iter_bits_ascending_and_complete(self, value):
         positions = list(iter_bits(value))
         assert positions == sorted(positions)
         assert sum(1 << position for position in positions) == value
-
-    def test_trailing_word_mask(self):
-        full = (1 << WORD_BITS) - 1
-        assert trailing_word_mask(0) == full
-        assert trailing_word_mask(64) == full
-        assert trailing_word_mask(128) == full
-        assert trailing_word_mask(1) == 0b1
-        assert trailing_word_mask(63) == (1 << 63) - 1
-        assert trailing_word_mask(65) == 0b1
-        assert trailing_word_mask(70) == (1 << 6) - 1
-
-    @given(st.integers(min_value=0, max_value=(1 << 200) - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_popcount_forms_agree(self, value):
-        width = max(1, (value.bit_length() + 7) // 8)
-        assert popcount(value) == popcount_bytes(value.to_bytes(width, "little"))
-
-
-class TestBitmap:
-    @pytest.mark.parametrize("index", [0, 1, 63, 64, 65, 127, 128])
-    def test_set_test_clear_across_word_boundaries(self, index):
-        bitmap = Bitmap(130)
-        assert not bitmap.test(index)
-        bitmap.set(index)
-        assert bitmap.test(index)
-        assert bitmap.to_int() == 1 << index
-        bitmap.clear(index)
-        assert not bitmap.test(index)
-        assert bitmap.to_int() == 0
-
-    def test_out_of_range_access_raises(self):
-        bitmap = Bitmap(64)
-        for index in (-1, 64, 1000):
-            with pytest.raises(IndexError):
-                bitmap.test(index)
-            with pytest.raises(IndexError):
-                bitmap.set(index)
-
-    def test_negative_width_raises(self):
-        with pytest.raises(ValueError):
-            Bitmap(-1)
-
-    def test_zero_width_bitmap(self):
-        bitmap = Bitmap(0)
-        assert len(bitmap) == 0
-        assert bitmap.to_int() == 0
-        assert bitmap.popcount() == 0
-        assert list(bitmap) == []
-        assert bitmap.invert().to_int() == 0
-
-    @pytest.mark.parametrize("value", BOUNDARY_VALUES, ids=lambda v: f"{v:#x}")
-    def test_from_int_to_int_roundtrip(self, value):
-        nbits = max(1, value.bit_length())
-        assert Bitmap.from_int(value, nbits).to_int() == value
-
-    def test_from_int_masks_excess_bits(self):
-        bitmap = Bitmap.from_int((1 << 80) | 0b101, 70)
-        assert bitmap.to_int() == 0b101
-
-    def test_from_int_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Bitmap.from_int(-1, 8)
-
-    def test_width_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            Bitmap(64).and_(Bitmap(65))
-
-    @given(
-        st.integers(min_value=0, max_value=(1 << 130) - 1),
-        st.integers(min_value=0, max_value=(1 << 130) - 1),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_binary_operations_agree_with_int_algebra(self, a, b):
-        nbits = 130
-        bitmap_a = Bitmap.from_int(a, nbits)
-        bitmap_b = Bitmap.from_int(b, nbits)
-        assert bitmap_a.and_(bitmap_b).to_int() == a & b
-        assert bitmap_a.or_(bitmap_b).to_int() == a | b
-        assert bitmap_a.andnot(bitmap_b).to_int() == a & ~b & ((1 << nbits) - 1)
-        assert bitmap_a.popcount() == a.bit_count()
-        assert list(bitmap_a) == list(iter_bits(a))
-
-    @pytest.mark.parametrize("nbits", [1, 63, 64, 65, 128, 130])
-    def test_invert_respects_trailing_word_mask(self, nbits):
-        zero = Bitmap(nbits)
-        inverted = zero.invert()
-        assert inverted.to_int() == (1 << nbits) - 1
-        assert inverted.popcount() == nbits
-        # double inversion is identity, and no bit above nbits leaks
-        assert inverted.invert() == zero
-        assert all(position < nbits for position in inverted)
-
-    def test_equality_requires_same_width(self):
-        assert Bitmap.from_int(5, 64) == Bitmap.from_int(5, 64)
-        assert Bitmap.from_int(5, 64) != Bitmap.from_int(5, 65)
 
 
 class TestBitLayout:
@@ -262,7 +145,7 @@ class TestFulfilledMatrix:
         assert matrix.column(bit_10) == 0b011  # events 0 and 1
         assert matrix.row(0) == 1 << bit_10
         assert matrix.row(1) == (1 << bit_10) | (1 << layout.bit_of(20))
-        assert matrix.row_bitmap(2).to_int() == 1 << layout.bit_of(30)
+        assert matrix.row(2) == 1 << layout.bit_of(30)
         with pytest.raises(IndexError):
             matrix.row(3)
 

@@ -42,7 +42,7 @@ class TestBrokerBasics:
     def test_callback_invoked(self):
         broker = Broker("edge")
         received = []
-        broker.subscribe("a = 1", callback=received.append)
+        broker.subscribe("a = 1", sink=received.append)
         broker.publish(Event({"a": 1}))
         broker.publish(Event({"a": 2}))
         assert len(received) == 1

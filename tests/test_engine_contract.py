@@ -1,0 +1,115 @@
+"""The matching-path contract: one per-event method plus one batch kernel.
+
+Every engine implements per-event phase 2 (``match_fulfilled``) and at
+most one batch method; :class:`~repro.core.base.FilterEngine` derives
+``match``, ``match_batch``, the memoized ``match_fulfilled_batch`` and
+the matrix fallback.  Two documented exceptions are named below.  The
+sharded runtime keeps one batch loop (``match_batch``) and treats a
+single event as a batch of one.
+
+A batch of one must stay on the per-event path: phase 1 without the
+probe cache, phase 2 on sets — so single-event publishing cannot move
+onto the cached or matrix path unnoticed.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro import Event, FilterEngine, ShardedEngine, Subscription, build_engine
+from repro.core import engine_catalog
+
+MATCHING_METHODS = (
+    "match",
+    "match_batch",
+    "match_fulfilled",
+    "match_fulfilled_batch",
+    "match_fulfilled_matrix",
+)
+
+#: engine display name -> the matching methods its class overrides
+EXPECTED_OVERRIDES = {
+    "non-canonical": {"match_fulfilled", "match_fulfilled_matrix"},
+    "counting": {"match_fulfilled", "match_fulfilled_matrix"},
+    "counting-variant": {"match_fulfilled", "match_fulfilled_matrix"},
+    "matching-tree": {"match_fulfilled"},
+    # exception: the oracle evaluates expressions on events, bypassing
+    # the shared indexes on the full matching path
+    "brute-force": {"match", "match_batch", "match_fulfilled"},
+    # exception: reads candidate trees in arena-offset order as its one
+    # (set-based) batch kernel
+    "non-canonical-paged": {"match_fulfilled", "match_fulfilled_batch"},
+}
+
+SUBSCRIPTIONS = (
+    "price > 10 and symbol = 'a'",
+    "volume >= 5 or qty = 3",
+    "price <= 10",
+)
+EVENTS = (
+    Event({"price": 12, "symbol": "a", "volume": 6}),
+    Event({"price": 4, "qty": 3}),
+    Event({"price": 11, "symbol": "b"}),
+)
+
+
+def overridden(cls: type) -> set[str]:
+    return {
+        method
+        for method in MATCHING_METHODS
+        if getattr(cls, method) is not getattr(FilterEngine, method)
+    }
+
+
+def test_catalog_matches_the_contract_table():
+    assert set(engine_catalog()) == set(EXPECTED_OVERRIDES)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_OVERRIDES))
+def test_engine_overrides_one_phase2_method_and_one_batch_kernel(name):
+    methods = overridden(engine_catalog()[name])
+    assert methods == EXPECTED_OVERRIDES[name]
+    if name != "brute-force":
+        batch = methods - {"match_fulfilled"}
+        assert "match_fulfilled" in methods and len(batch) <= 1
+
+
+def test_sharded_engine_keeps_one_batch_loop():
+    assert overridden(ShardedEngine) == {"match", "match_batch", "match_fulfilled"}
+
+
+def _loaded(spec: str, **options) -> FilterEngine:
+    engine = build_engine(spec, **options)
+    for text in SUBSCRIPTIONS:
+        engine.register(Subscription.from_text(text))
+    return engine
+
+
+ENGINE_CONFIGS = [
+    pytest.param(name, {}, id=name) for name in sorted(EXPECTED_OVERRIDES)
+]
+ENGINE_CONFIGS += [
+    pytest.param("noncanonical", {"shards": 2}, id="noncanonical-hash"),
+    pytest.param(
+        "counting", {"shards": 2, "partitioner": "routed"}, id="counting-routed"
+    ),
+    pytest.param("matching-tree", {"shards": 2}, id="matching-tree-hash"),
+]
+
+
+@pytest.mark.parametrize("spec, options", ENGINE_CONFIGS)
+def test_batch_of_one_is_the_per_event_path(spec, options):
+    engine = _loaded(spec, **options)
+    try:
+        indexes = engine.indexes
+        engine.match_batch(list(EVENTS[1:]))  # warm the probe cache
+        engine.register(Subscription.from_text("qty = 4"))  # stale now
+        cache, version = indexes._probe_cache, indexes._probe_cache_version
+        entries = dict(cache)
+        for event in EVENTS:
+            assert engine.match_batch([event]) == [engine.match(event)]
+        assert indexes._probe_cache is cache
+        assert indexes._probe_cache_version == version
+        assert dict(cache) == entries
+    finally:
+        engine.close()

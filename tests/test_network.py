@@ -70,13 +70,6 @@ class TestSubscriptionFlooding:
         assert network.stats.hops_visited == 3
         assert network.stats.registrations_forwarded == 3
 
-    def test_subscription_floods_is_a_deprecated_alias(self):
-        network = linear_network("a", "b", "c")
-        network.subscribe("a", "x = 1")
-        with pytest.warns(DeprecationWarning, match="hops_visited"):
-            assert network.stats.subscription_floods == 2
-        assert network.stats.subscription_floods == network.stats.hops_visited
-
     def test_unsubscribe_cleans_everywhere(self):
         network = linear_network("a", "b", "c")
         s = network.subscribe("a", "x = 1")

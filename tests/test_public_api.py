@@ -236,22 +236,6 @@ class TestSinks:
         with pytest.raises(TypeError):
             as_sink("not a sink")
 
-    def test_sink_and_callback_are_exclusive(self):
-        broker = Broker("edge")
-        with pytest.raises(TypeError):
-            broker.subscribe(
-                "a = 1", sink=CollectingSink(), callback=print
-            )
-
-    def test_legacy_callback_still_delivers_with_deprecation(self):
-        broker = Broker("edge")
-        received = []
-        with pytest.warns(DeprecationWarning, match="sink="):
-            handle = broker.subscribe("a = 1", callback=received.append)
-        broker.publish(Event({"a": 1}))
-        assert len(received) == 1
-        assert handle.sink.delivered == 1
-
     def test_stream_rejects_single_event_eagerly(self):
         broker = Broker("edge")
         with pytest.raises(TypeError, match="iterable of events"):
@@ -325,7 +309,7 @@ class TestUnifiedPublish:
                 pulls.append(value)
                 yield {"a": value}
 
-        results = broker.publish_batch(feed())
+        results = broker.publish(feed())
         assert pulls == [1, 2, 3]
         assert len(results) == 3
         assert broker.stats.events_published == 3
@@ -333,7 +317,7 @@ class TestUnifiedPublish:
     def test_publisher_counts_match_batch_for_generators(self):
         broker = Broker("edge")
         publisher = Publisher("feed", broker)
-        results = publisher.publish_batch(
+        results = publisher.publish(
             {"a": value} for value in range(5)
         )
         assert publisher.published_count == 5
@@ -377,7 +361,7 @@ class TestUnifiedPublish:
         broker.subscribe("a = 1 or b = 2")
         events = [Event({"a": 1}), Event({"b": 3}), Event({"b": 2})]
         sequential = [broker.publish(event) for event in events]
-        assert broker.publish_batch(events) == sequential
+        assert broker.publish(events) == sequential
 
     def test_stream_validates_batch_size_eagerly(self):
         broker = Broker("edge")
@@ -422,32 +406,6 @@ class TestDeprecatedShims:
         sub_handle = alice.subscribe("a = 1")
         alice.unsubscribe(sub_handle.subscription)
         assert alice.subscription_ids == frozenset()
-
-    def test_default_engine_factories_are_still_callable(self):
-        from repro.experiments import DEFAULT_ENGINE_FACTORIES
-
-        registry = PredicateRegistry()
-        indexes = IndexManager()
-        engines = [
-            factory(registry=registry, indexes=indexes)
-            for factory in DEFAULT_ENGINE_FACTORIES
-        ]
-        assert [engine.name for engine in engines] == [
-            "non-canonical",
-            "counting-variant",
-            "counting",
-        ]
-
-    def test_sweep_rejects_both_engine_spellings(self):
-        from repro.experiments import run_throughput_sweep
-
-        with pytest.raises(TypeError, match="not both"):
-            run_throughput_sweep(
-                subscription_count=10,
-                event_count=8,
-                engines=("counting",),
-                engine_factories=("counting",),
-            )
 
     def test_subscriber_forgets_handle_withdrawn_directly(self):
         broker = Broker("edge")

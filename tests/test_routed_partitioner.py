@@ -10,9 +10,9 @@ The contract under test, layer by layer:
   shards that cannot contain a match);
 * the routed configuration returns exactly the unsharded match sets —
   for all six registry engines, per event and per batch, under
-  batch-flushed churn that forces a rebalance round, across the serial,
-  thread, and process executors (a migration must reach fork workers
-  through the notify protocol);
+  batch-flushed churn that forces a rebalance round, across the serial
+  and process executors (a migration must reach fork workers through
+  the notify protocol);
 * bookkeeping: pruning counters, spec round-trips, and the routing
   digest's memory charge.
 """
@@ -52,7 +52,7 @@ ENGINE_OPTIONS = {
 }
 
 ALL_ENGINES = tuple(ENGINE_OPTIONS)
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 PARTITIONERS = ("hash", "routed")
 
 

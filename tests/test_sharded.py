@@ -3,8 +3,8 @@
 The contract under test: a :class:`~repro.core.sharded.ShardedEngine`
 over any inner engine spec returns **exactly** the match sets of the
 unsharded engine — on the agreement corpus, per event and per batch,
-under interleaved subscribe/unsubscribe churn, and for the serial,
-thread, and process executor strategies.  Plus the partitioner, spec
+under interleaved subscribe/unsubscribe churn, and for the serial and
+process executor strategies.  Plus the partitioner, spec
 round-trips, the introspection surface, and the broker/network
 reporting built on it.
 """
@@ -47,7 +47,7 @@ ENGINE_OPTIONS = {
 }
 
 ALL_ENGINES = tuple(ENGINE_OPTIONS)
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 def inner_spec(engine_name: str) -> EngineSpec:
@@ -244,24 +244,24 @@ def test_spec_shorthand_and_roundtrip():
         "noncanonical", {"shards": 4}
     )
     assert EngineSpec("non-canonical x 2").options["shards"] == 2
-    engine = build_engine("counting-variant×3", executor="thread")
+    engine = build_engine("counting-variant×3", executor="process")
     assert isinstance(engine, ShardedEngine)
     assert engine.shard_count == 3
-    assert engine.executor_name == "thread"
+    assert engine.executor_name == "process"
     spec = spec_of(engine)
     assert spec.name == "counting-variant"
     assert spec.options["shards"] == 3
     rebuilt = spec.build()
     assert isinstance(rebuilt, ShardedEngine)
     assert rebuilt.shard_count == 3
-    assert rebuilt.executor_name == "thread"
+    assert rebuilt.executor_name == "process"
 
 
 def test_spec_validation_errors():
     with pytest.raises(ValueError):
         EngineSpec("noncanonical×4", {"shards": 2})  # contradictory
     with pytest.raises(ValueError):
-        build_engine("noncanonical", executor="thread")  # executor w/o shards
+        build_engine("noncanonical", executor="process")  # executor w/o shards
     with pytest.raises(ValueError):
         ShardedEngine(EngineSpec("noncanonical", {"shards": 2}), shards=2)
     with pytest.raises(ValueError):
@@ -271,7 +271,7 @@ def test_spec_validation_errors():
 
 
 def test_executor_registry():
-    assert set(executor_names()) >= {"serial", "thread", "process"}
+    assert set(executor_names()) >= {"serial", "process"}
     instance = SerialExecutor()
     assert make_executor(instance) is instance
     with pytest.raises(ValueError):
