@@ -3,30 +3,39 @@
 The batch pipeline exists to amortize per-event dispatch overhead:
 phase 1 memoizes repeated attribute values across a batch
 (``IndexManager.match_batch``) and phase 2 reuses candidate buffers
-(``match_fulfilled_batch``).  These benchmarks consume the
-:mod:`repro.bench` runner — the same measurement that produces the
-committed ``BENCH_<n>.json`` trajectory — so numbers asserted here and
-numbers gated in CI come from one code path, and every threshold lives
-in :mod:`repro.bench.thresholds`.
+(``match_fulfilled_batch``).  These benchmarks call the harness's
+throughput sweep (:func:`~repro.experiments.harness.run_throughput_sweep`)
+directly, so the numbers asserted here come from the same timing code as
+the paper's sweeps.
 
 The headline assertion: batch=256 must beat per-event publishing by
-:data:`~repro.bench.thresholds.BATCH256_MIN_SPEEDUP` on the
-non-canonical engine, over a Zipf-skewed event stream with a small
-value domain — the repeat-heavy regime batching targets.
+:data:`BATCH256_MIN_SPEEDUP` on the non-canonical engine, over a
+Zipf-skewed event stream with a small value domain — the repeat-heavy
+regime batching targets.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from repro.bench import QUICK, throughput_records
-from repro.bench.thresholds import BATCH256_MIN_SPEEDUP
 from repro.broker import Broker
-from repro import NonCanonicalEngine
+from repro import NonCanonicalEngine, engine_names
 from repro.experiments.harness import run_throughput_sweep
 from repro.indexes import IndexManager
 from repro.predicates import PredicateRegistry
 from repro.workloads import EventGenerator, PaperSubscriptionGenerator
+
+#: Batch pipeline: batch=256 must beat per-event publishing by this
+#: factor on the non-canonical engine (structural win is ~1.7-2×; the
+#: margin holds on noisy shared runners).
+BATCH256_MIN_SPEEDUP = 1.1
+
+#: The sweep's population and stream: 300 paper subscriptions, 256
+#: events over a 16-value domain (heavy value repetition across a batch,
+#: the regime the phase-1 batch memoization targets), best of 3 repeats.
+SUBSCRIPTIONS = 300
+EVENTS = 256
+VALUE_RANGE = 16
+REPEATS = 3
+BATCH_SIZES = (1, 32, 256)
 
 
 def _loaded_engine() -> NonCanonicalEngine:
@@ -36,7 +45,7 @@ def _loaded_engine() -> NonCanonicalEngine:
     generator = PaperSubscriptionGenerator(
         predicates_per_subscription=6, seed=20050610
     )
-    for subscription in generator.subscriptions(QUICK.subscriptions):
+    for subscription in generator.subscriptions(SUBSCRIPTIONS):
         engine.register(subscription)
     return engine
 
@@ -44,23 +53,27 @@ def _loaded_engine() -> NonCanonicalEngine:
 def _event_stream():
     return EventGenerator(
         attributes_per_event=16,
-        value_range=QUICK.value_range,
+        value_range=VALUE_RANGE,
         skew=1.1,
         seed=42,
-    ).events(QUICK.events)
+    ).events(EVENTS)
 
 
 def test_batch256_beats_per_event(benchmark):
     """The acceptance check: batched matching out-throughputs per-event.
 
-    Measured through the bench runner's throughput phase (quick scale,
-    narrowed to the two batch sizes the assertion uses — no point paying
-    for the batch=32 leg here; the bench job measures the full matrix).
+    Measured through the harness's throughput sweep, narrowed to the two
+    batch sizes the assertion uses.
     """
-    records = throughput_records(
-        replace(QUICK, batch_sizes=(1, 256)), engines=("noncanonical",)
-    )
-    by_batch = {record.batch_size: record for record in records}
+    (points,) = run_throughput_sweep(
+        subscription_count=SUBSCRIPTIONS,
+        event_count=EVENTS,
+        batch_sizes=(1, 256),
+        value_range=VALUE_RANGE,
+        engines=("noncanonical",),
+        repeats=REPEATS,
+    ).values()
+    by_batch = {point.batch_size: point for point in points}
     per_event = by_batch[1]
     batched = by_batch[256]
     speedup = batched.events_per_second / per_event.events_per_second
@@ -75,9 +88,7 @@ def test_batch256_beats_per_event(benchmark):
     benchmark.extra_info.update(
         events_per_second_batch1=round(per_event.events_per_second),
         events_per_second_batch256=round(batched.events_per_second),
-        candidates_per_event=round(
-            batched.metrics.get("candidates_probed_per_event", 0.0), 2
-        ),
+        candidates_per_event=round(batched.counters["candidates_probed"], 2),
         speedup=round(speedup, 3),
     )
     assert speedup > BATCH256_MIN_SPEEDUP, (
@@ -88,24 +99,29 @@ def test_batch256_beats_per_event(benchmark):
 
 
 def test_runner_covers_every_engine_and_batch_size():
-    """The runner's throughput phase covers all six registry engines at
-    1/32/256 (parity is verified inside the harness before timing)."""
-    records = throughput_records(QUICK)
-    engines = {record.engine for record in records}
-    assert engines == {
-        "noncanonical",
+    """The throughput sweep covers all six registry engines at 1/32/256
+    (parity is verified inside the harness before timing)."""
+    results = run_throughput_sweep(
+        subscription_count=SUBSCRIPTIONS,
+        event_count=EVENTS,
+        batch_sizes=BATCH_SIZES,
+        value_range=VALUE_RANGE,
+        engines=engine_names(),
+        repeats=REPEATS,
+    )
+    assert set(results) == {
+        "non-canonical",
         "counting",
         "counting-variant",
         "matching-tree",
-        "bruteforce",
-        "paged",
+        "brute-force",
+        "non-canonical-paged",
     }
-    for engine in engines:
-        batch_sizes = [r.batch_size for r in records if r.engine == engine]
-        assert batch_sizes == list(QUICK.batch_sizes)
-    assert all(r.events_per_second > 0 for r in records)
-    # the counters the trajectory uses to explain movements are present
-    assert all("candidates_probed_per_event" in r.metrics for r in records)
+    for points in results.values():
+        assert [p.batch_size for p in points] == list(BATCH_SIZES)
+        assert all(p.events_per_second > 0 for p in points)
+        # the counters that explain a throughput movement are present
+        assert all("candidates_probed" in p.counters for p in points)
 
 
 def test_throughput_sweep_reports_all_batch_sizes():
@@ -114,7 +130,7 @@ def test_throughput_sweep_reports_all_batch_sizes():
     results = run_throughput_sweep(
         subscription_count=100,
         event_count=128,
-        value_range=QUICK.value_range,
+        value_range=VALUE_RANGE,
         repeats=1,
     )
     assert set(results) == {"non-canonical", "counting-variant", "counting"}

@@ -11,28 +11,37 @@ Three claims, checked at three levels:
   ``candidates_probed`` counters prove one probe per candidate per
   batch, where the set-based path paid one per candidate per event;
 * **trajectory floor** — the committed ``BENCH_8.json`` point must hold
-  :data:`~repro.bench.thresholds.BITSET_BATCH256_MIN_SPEEDUP` over the
-  pre-kernel ``BENCH_5.json`` records for the rewritten engines.  Both
-  reports come from the same container class, so the ratio is free of
-  machine drift; day-to-day CI noise is the comparator gate's job.
+  :data:`BITSET_BATCH256_MIN_SPEEDUP` over the pre-kernel
+  ``BENCH_5.json`` records for the rewritten engines.  Both reports come
+  from the same container class, so the ratio is free of machine drift;
+  day-to-day CI noise is the same-machine A/B gate's job
+  (``tools/perf_ab.py``).
 """
 
 from __future__ import annotations
 
+import json
 import random
 from pathlib import Path
 
 import pytest
 
-from repro.bench.records import BenchReport
-from repro.bench.thresholds import BITSET_BATCH256_MIN_SPEEDUP
 from repro.core.bitset import FulfilledMatrix, popcount
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 
+#: The bit-packed phase-2 kernel (PR 8) must keep the rewritten engines
+#: (non-canonical, counting, counting-variant) at least this many times
+#: faster at batch=256 than their pre-kernel BENCH_5 records —
+#: benchmarks/test_bitset_kernel.py asserts it on the *committed*
+#: trajectory points, so the floor is machine-drift-free: both numbers
+#: come from the same container class, and day-to-day CI variance is
+#: handled separately by the same-machine A/B gate.
+BITSET_BATCH256_MIN_SPEEDUP = 5.0
+
 #: Engines rewritten onto the kernel, with their committed batch=256
 #: records: BENCH_5 (pre-kernel) -> BENCH_8 (kernel) must be >= the
-#: thresholds floor.  Keys are registry names (the bench reports' form);
+#: kernel floor.  Keys are registry names (the bench reports' form);
 #: values are the display names the conftest workload indexes by.
 KERNEL_ENGINES = {
     "noncanonical": "non-canonical",
@@ -227,14 +236,14 @@ def test_matrix_path_engages_on_batches(workload_factory):
 # -- committed-trajectory floor ----------------------------------------
 
 
-def _batch256_throughput(report: BenchReport, engine: str) -> float:
-    for record in report.records:
+def _batch256_throughput(report: dict, engine: str) -> float:
+    for record in report["records"]:
         if (
-            record.scenario == "throughput"
-            and record.engine == engine
-            and record.batch_size == 256
+            record["scenario"] == "throughput"
+            and record["engine"] == engine
+            and record["batch_size"] == 256
         ):
-            return record.events_per_second
+            return record["events_per_second"]
     raise AssertionError(
         f"no throughput/{engine}@b256 record in the committed report"
     )
@@ -244,11 +253,11 @@ def _batch256_throughput(report: BenchReport, engine: str) -> float:
 def test_committed_trajectory_holds_kernel_speedup(engine):
     """BENCH_8 (kernel) vs BENCH_5 (pre-kernel), both committed from the
     same container class: the rewritten engines' batch=256 throughput
-    must hold the thresholds floor.  This pins the *trajectory*, so a
+    must hold the kernel floor.  This pins the *trajectory*, so a
     future PR cannot silently re-land a slow phase 2 and regenerate the
     baseline around it."""
-    before = BenchReport.load(str(_REPO_ROOT / "BENCH_5.json"))
-    after = BenchReport.load(str(_REPO_ROOT / "BENCH_8.json"))
+    before = json.loads((_REPO_ROOT / "BENCH_5.json").read_text())
+    after = json.loads((_REPO_ROOT / "BENCH_8.json").read_text())
     old = _batch256_throughput(before, engine)
     new = _batch256_throughput(after, engine)
     speedup = new / old

@@ -8,20 +8,30 @@ Two structural claims, counter-asserted rather than timed:
   apply (band-structured subscriptions): the index counts its exact
   tests and the bound is linear with a small constant, versus ~N²/2 for
   the all-pairs scan ``prune_covered`` used to run;
-* **the quick bench matrix routes** — the ``network-*`` records the
-  runner emits carry a nonzero suppression ratio on the tree topology,
-  with covering-on throughput at least comparable to flooding.
+* **the network sweep routes** — the covering overlays of
+  :func:`~repro.experiments.harness.run_network_sweep` carry a nonzero
+  suppression ratio on every topology, at least
+  :data:`NETWORK_TREE_MIN_SUPPRESSION` on the tree, and register
+  strictly less than flooding.
 """
 
 from __future__ import annotations
 
-from repro.bench.runner import QUICK, network_records, scaled_down
-from repro.bench.thresholds import (
-    COVERING_MAX_EXACT_CALLS_PER_SUB,
-    NETWORK_TREE_MIN_SUPPRESSION,
-)
+from repro.experiments.harness import run_network_sweep
 from repro.subscriptions import CoveringIndex, parse
 from repro.workloads import NetworkChurnScenario
+
+#: The quick-scale network workload is covering-rich by construction;
+#: the tree-topology run must suppress at least this fraction of remote
+#: registrations or the covering path has silently stopped engaging.
+NETWORK_TREE_MIN_SUPPRESSION = 0.10
+
+#: Registering N covering-friendly subscriptions into the CoveringIndex
+#: must stay o(N²) in *exact* covers() calls: the benchmark asserts at
+#: most this many exact tests per subscription on the band corpus (an
+#: all-pairs scan would need ~N/2 per subscription, ~100× this at the
+#: benchmark's N=512).
+COVERING_MAX_EXACT_CALLS_PER_SUB = 6.0
 
 
 def test_covering_index_exact_tests_stay_subquadratic():
@@ -73,18 +83,25 @@ def test_covering_index_beats_all_pairs_even_with_churn():
 
 
 def test_quick_network_records_report_suppression():
-    """The bench matrix's network family: nonzero suppression on the
-    tree topology and throughput parity-or-better versus flooding."""
-    records = {
-        record.scenario: record
-        for record in network_records(scaled_down(QUICK, 2), seed=0)
-    }
-    tree = records["network-tree"]
-    assert tree.metrics["suppression_ratio"] >= NETWORK_TREE_MIN_SUPPRESSION
-    for record in records.values():
-        assert record.metrics["suppression_ratio"] > 0.0
+    """The network sweep: nonzero suppression on every topology, enough
+    on the tree, and covering registers less than flooding."""
+    points = run_network_sweep(
+        topologies=("line", "star", "tree", "random"),
+        broker_count=8,
+        subscription_count=32,
+        event_count=128,
+        batch_size=64,
+        engine="noncanonical",
+        covering=(True, False),
+        repeats=1,
+    )
+    covering = {p.topology: p for p in points if p.covering}
+    flooding = {p.topology: p for p in points if not p.covering}
+    assert covering["tree"].suppression_ratio >= NETWORK_TREE_MIN_SUPPRESSION
+    for topology, point in covering.items():
+        assert point.suppression_ratio > 0.0
         # compaction: covering registers strictly less than flooding
         assert (
-            record.metrics["registrations_per_broker"]
-            < record.metrics["flooding_registrations_per_broker"]
+            point.registrations_per_broker
+            < flooding[topology].registrations_per_broker
         )

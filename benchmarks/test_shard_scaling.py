@@ -1,31 +1,31 @@
 """Shard-scaling curves: throughput versus shard count per engine.
 
-The measurements come from the :mod:`repro.bench` runner's shard phase
-(which wraps ``run_shard_sweep``) and from the harness directly for the
-executor-specific checks; every pass/fail number lives in
-:mod:`repro.bench.thresholds`.  Three properties are asserted:
+The measurements come from the harness's shard sweep
+(:func:`~repro.experiments.harness.run_shard_sweep`) and, for the
+interleaved routed-versus-unsharded check, from engines timed here
+directly; every pass/fail number is a constant in this module.  Four
+properties are asserted:
 
-* the runner produces well-formed curves (parity is verified inside the
+* the sweep produces well-formed curves (parity is verified inside the
   harness before anything is timed);
 * the **serial** executor's coordination overhead is bounded — sharding
   without parallelism must not collapse throughput
-  (:data:`~repro.bench.thresholds.SERIAL_4SHARD_MIN_RATIO`);
+  (:data:`SERIAL_4SHARD_MIN_RATIO`);
 * the **process** executor turns shards into real speedup: at
   quick-benchmark scale, 4 shards reach
-  :data:`~repro.bench.thresholds.PROCESS_4SHARD_MIN_SPEEDUP` × the
-  single-shard serial baseline on at least one engine.  On single-core
-  runners (or without the ``fork`` start method) that test *skips* —
-  there is no parallel hardware to demonstrate on;
+  :data:`PROCESS_4SHARD_MIN_SPEEDUP` × the single-shard serial baseline
+  on at least one engine.  On single-core runners (or without the
+  ``fork`` start method) that test *skips* — there is no parallel
+  hardware to demonstrate on;
 * the **routed** partitioner makes *serial* sharding pay on the skewed
   hot-key corpus: it must beat the hash partitioner at the same shard
-  count by :data:`~repro.bench.thresholds.ROUTED_OVER_HASH_MIN_RATIO`
-  and the unsharded engine outright
-  (:data:`~repro.bench.thresholds.ROUTED_SERIAL_MIN_SPEEDUP`), with
-  ``shards_pruned`` counters confirming the speedup came from pruning,
-  not noise.  The serial-floor comparison interleaves its measurements
-  (baseline, hash, routed, repeat) because a measure-baseline-first
-  protocol systematically flatters the baseline on CI runners whose
-  clock boost decays over the run.
+  count by :data:`ROUTED_OVER_HASH_MIN_RATIO` and the unsharded engine
+  outright (:data:`ROUTED_SERIAL_MIN_SPEEDUP`), with ``shards_pruned``
+  counters confirming the speedup came from pruning, not noise.  The
+  serial-floor comparison interleaves its measurements (baseline, hash,
+  routed, repeat) because a measure-baseline-first protocol
+  systematically flatters the baseline on CI runners whose clock boost
+  decays over the run.
 
 Numbers land in ``benchmark.extra_info`` so future PRs have a scaling
 trajectory to compare against.
@@ -39,18 +39,38 @@ import time
 
 import pytest
 
-from repro.bench import QUICK, scaled_down, shard_records, shard_routing_records
-from repro.bench.thresholds import (
-    PROCESS_4SHARD_MIN_SPEEDUP,
-    ROUTED_OVER_HASH_MIN_RATIO,
-    ROUTED_SERIAL_MIN_SPEEDUP,
-    SERIAL_4SHARD_MIN_RATIO,
-)
 from repro.core.registry import build_engine
 from repro.experiments.harness import run_shard_sweep
 from repro.indexes.manager import IndexManager
 from repro.predicates.registry import PredicateRegistry
 from repro.workloads.scenarios import SkewedHotKeyScenario
+
+#: Sharding without parallelism pays union/dispatch overhead only: the
+#: 4-shard serial configuration must keep at least this fraction of the
+#: unsharded throughput.
+SERIAL_4SHARD_MIN_RATIO = 0.5
+
+#: With the process executor, 4 shards must reach this speedup over the
+#: single-shard serial baseline on at least one engine (multi-core
+#: runners only; the benchmark skips on <2 cores).
+PROCESS_4SHARD_MIN_SPEEDUP = 1.3
+
+#: The routed partitioner must beat the hash partitioner by this factor
+#: at the same shard count on the skewed hot-key corpus (serial
+#: executor, per-event path).  Both configurations are measured in the
+#: same process a few seconds apart, so the ratio is robust to the
+#: baseline-first CPU-frequency bias that makes absolute ``speedup``
+#: values noisy; observed values sit at 1.3–1.5×.
+ROUTED_OVER_HASH_MIN_RATIO = 1.15
+
+#: Shard pruning must make *serial* sharding a win, not just less of a
+#: loss: routed sharding must beat the unsharded engine on the skewed
+#: corpus.  ``run_shard_sweep`` measures the baseline first and the
+#: sharded points later, which systematically flatters the baseline
+#: (CPU boost decays over the run) — so the benchmark asserting this
+#: floor interleaves its own baseline/routed measurements instead of
+#: trusting the sweep's ``speedup`` field.
+ROUTED_SERIAL_MIN_SPEEDUP = 1.0
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 CPUS = os.cpu_count() or 1
@@ -62,21 +82,25 @@ ENGINES = ("noncanonical", "bruteforce")
 
 
 def test_runner_shard_phase_produces_curves():
-    """Quick-scale runner phase: every engine gets a 1/2/4-shard curve
-    with a speedup relative to its own unsharded baseline."""
-    records = shard_records(scaled_down(QUICK, 2), engines=ENGINES)
-    by_engine = {}
-    for record in records:
-        assert record.scenario == "shard-scaling"
-        by_engine.setdefault(record.engine, []).append(record)
-    assert set(by_engine) == set(ENGINES)
-    for engine, curve in by_engine.items():
-        assert [record.shards for record in curve] == list(QUICK.shard_counts)
+    """Every engine gets a 1/2/4-shard serial curve with a speedup
+    relative to its own unsharded baseline."""
+    shard_counts = (1, 2, 4)
+    results = run_shard_sweep(
+        subscription_count=150,
+        shard_counts=shard_counts,
+        engines=ENGINES,
+        executor="serial",
+        event_count=128,
+        repeats=1,
+    )
+    assert set(results) == set(ENGINES)
+    for engine, curve in results.items():
+        assert [point.shards for point in curve] == list(shard_counts)
         assert curve[0].executor == "serial"
-        assert curve[0].metrics["speedup"] == 1.0
-        assert all(record.events_per_second > 0 for record in curve)
-        assert all(record.engine == engine for record in curve)
-        assert all("speedup" in record.metrics for record in curve)
+        assert curve[0].speedup == 1.0
+        assert all(point.events_per_second > 0 for point in curve)
+        assert all(point.engine == engine for point in curve)
+        assert all(point.speedup > 0 for point in curve)
 
 
 def test_serial_sharding_overhead_is_bounded(benchmark):
@@ -115,25 +139,31 @@ def test_serial_sharding_overhead_is_bounded(benchmark):
 
 
 def test_runner_routing_phase_produces_curves():
-    """Quick-scale routing phase: hash and routed curves share one
-    unsharded baseline and the routed points explain themselves with
-    pruning metrics."""
-    records = shard_routing_records(scaled_down(QUICK, 2))
-    assert {record.scenario for record in records} == {"shard-routing"}
-    by_partitioner = {}
-    for record in records:
-        by_partitioner.setdefault(record.partitioner, []).append(record)
-    # one baseline (recorded under the pinned "hash" default) plus one
-    # sharded point per partitioner per routing shard count
-    assert [r.shards for r in by_partitioner["hash"]] == [1, 8]
-    assert [r.shards for r in by_partitioner["routed"]] == [8]
-    (routed,) = by_partitioner["routed"]
-    assert routed.metrics["shards_pruned_per_event"] > 0
-    assert (
-        routed.metrics["shards_probed_per_event"]
-        + routed.metrics["shards_pruned_per_event"]
-        == 8.0
-    )
+    """Hash and routed curves on the skew corpus (serial executor,
+    per-event path); the routed point explains itself with pruning
+    counters."""
+    curves = {
+        partitioner: run_shard_sweep(
+            subscription_count=300,
+            shard_counts=(1, 8),
+            engines=("noncanonical",),
+            executor="serial",
+            partitioner=partitioner,
+            corpus="skew",
+            batch_size=1,
+            event_count=80,
+            repeats=1,
+        )["noncanonical"]
+        for partitioner in ("hash", "routed")
+    }
+    # each curve is the unsharded baseline (pinned to the "hash"
+    # default) plus one point per routing shard count
+    for partitioner, curve in curves.items():
+        assert [p.shards for p in curve] == [1, 8]
+        assert [p.partitioner for p in curve] == ["hash", partitioner]
+    routed = curves["routed"][-1].counters
+    assert routed["shards_pruned"] > 0
+    assert routed["shards_probed"] + routed["shards_pruned"] == 8.0
 
 
 def test_routed_partitioner_beats_hash_and_unsharded(benchmark):

@@ -111,7 +111,9 @@ class MatchingTreeEngine(FilterEngine):
                     f"only; cannot register {clause!r}"
                 )
             by_level: dict[int, set[int]] = {}
-            for predicate in clause.positive_predicates():
+            # a fixed visiting order: tree levels and predicate ids must
+            # not follow the clause's hash-seeded set order
+            for predicate in sorted(clause.positive_predicates(), key=str):
                 pid = self.registry.register(predicate)
                 self.indexes.add(predicate, pid)
                 level = self._level_for(predicate.attribute)

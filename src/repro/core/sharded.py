@@ -30,9 +30,9 @@ Partitioner strategies
 ``hash``
     :func:`shard_index`, a Knuth multiplicative hash of the subscription
     id.  Stateless and perfectly balanced, but *blind*: every event must
-    visit every shard, so serial sharding is pure overhead (the BENCH_4
-    sweeps show negative serial scaling).  The default, preserving the
-    PR 3 behavior.
+    visit every shard, so serial sharding is pure overhead (serial
+    ``run_shard_sweep`` curves scale negatively).  The default,
+    preserving the PR 3 behavior.
 ``routed``
     :class:`RoutedPartitioner` — places each subscription into an
     **event-space region group** derived from its expression summary

@@ -39,7 +39,6 @@ from .profiling import (
     profile_matching,
 )
 from .report import ascii_plot, format_bytes, format_seconds, format_table
-from .variance import Measurement, measure_until_stable
 
 __all__ = [
     "DEFAULT_BATCH_SIZES",
@@ -68,8 +67,6 @@ __all__ = [
     "MatchingProfile",
     "engine_comparison_summary",
     "profile_matching",
-    "Measurement",
-    "measure_until_stable",
     "ascii_plot",
     "format_bytes",
     "format_seconds",

@@ -10,14 +10,27 @@ single event as a batch of one.
 A batch of one must stay on the per-event path: phase 1 without the
 probe cache, phase 2 on sets — so single-event publishing cannot move
 onto the cached or matrix path unnoticed.
+
+The match/probe counters every engine keeps are exposed through
+``FilterEngine.stats()`` and ``Broker.engine_stats()``, and aggregate
+across shards.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import Event, FilterEngine, ShardedEngine, Subscription, build_engine
+from repro import (
+    Broker,
+    Event,
+    FilterEngine,
+    ShardedEngine,
+    Subscription,
+    build_engine,
+)
 from repro.core import engine_catalog
+from repro.workloads import PaperSubscriptionGenerator
+from helpers import ALL_ENGINE_NAMES
 
 MATCHING_METHODS = (
     "match",
@@ -113,3 +126,52 @@ def test_batch_of_one_is_the_per_event_path(spec, options):
         assert dict(cache) == entries
     finally:
         engine.close()
+
+
+class TestCounterSurface:
+    def _load(self, engine):
+        generator = PaperSubscriptionGenerator(
+            predicates_per_subscription=4, seed=7
+        )
+        for subscription in generator.subscriptions(30):
+            engine.register(subscription)
+        return engine
+
+    @pytest.mark.parametrize("name", ALL_ENGINE_NAMES)
+    def test_stats_expose_match_counters(self, name):
+        engine = self._load(build_engine(name))
+        try:
+            stats = engine.stats()
+            assert stats["phase2_calls"] == 0
+            engine.match_fulfilled({1, 2, 3})
+            stats = engine.stats()
+            assert stats["phase2_calls"] == 1
+            assert stats["candidates_probed"] >= 0
+            engine.reset_counters()
+            assert engine.stats()["phase2_calls"] == 0
+        finally:
+            engine.close()
+
+    def test_sharded_engine_aggregates_shard_counters(self):
+        engine = self._load(build_engine("noncanonical", shards=4))
+        try:
+            engine.match_fulfilled({1, 2, 3})
+            # every shard answered once; the aggregate says so
+            assert engine.counters.phase2_calls == 4
+            assert engine.stats()["phase2_calls"] == 4
+            per_shard = [
+                shard.counters.phase2_calls for shard in engine.shards
+            ]
+            assert per_shard == [1, 1, 1, 1]
+            engine.reset_counters()
+            assert engine.counters.phase2_calls == 0
+        finally:
+            engine.close()
+
+    def test_broker_engine_stats_carry_counters(self):
+        broker = Broker("hub", engine="noncanonical")
+        broker.subscribe("price > 10")
+        broker.publish({"price": 20})
+        stats = broker.engine_stats()
+        assert stats["phase2_calls"] == 1
+        assert stats["matches_found"] == 1

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -177,3 +182,37 @@ class TestSpaceTimeTradeoff:
             tree.register(s)
             counting.register(s)
         assert tree.memory_bytes() > counting.memory_bytes()
+
+
+_LAYOUT_SCRIPT = """
+import json
+from repro import MatchingTreeEngine
+from repro.workloads import PaperSubscriptionGenerator
+engine = MatchingTreeEngine()
+generator = PaperSubscriptionGenerator(predicates_per_subscription=6, seed=1)
+for subscription in generator.subscriptions(300):
+    engine.register(subscription)
+print(json.dumps([engine.memory_bytes(), engine._levels]))
+"""
+
+
+def test_tree_layout_does_not_depend_on_the_hash_seed():
+    """Levels follow a fixed predicate order, not frozenset order, so the
+    same population builds the same tree under any PYTHONHASHSEED."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    layouts = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(src), env.get("PYTHONPATH")))
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", _LAYOUT_SCRIPT],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+            check=True,
+        )
+        layouts.append(json.loads(result.stdout))
+    assert layouts[0] == layouts[1]
