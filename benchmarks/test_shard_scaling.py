@@ -21,11 +21,15 @@ properties are asserted:
   hot-key corpus: it must beat the hash partitioner at the same shard
   count by :data:`ROUTED_OVER_HASH_MIN_RATIO` and the unsharded engine
   outright (:data:`ROUTED_SERIAL_MIN_SPEEDUP`), with ``shards_pruned``
-  counters confirming the speedup came from pruning, not noise.  The
-  serial-floor comparison interleaves its measurements (baseline, hash,
-  routed, repeat) because a measure-baseline-first protocol
-  systematically flatters the baseline on CI runners whose clock boost
-  decays over the run.
+  counters confirming the speedup came from pruning, not noise.
+
+The two speedup checks assert from interleaved repeated samples
+(:func:`interleaved_seconds`): every round times each configuration
+once, back to back, in an order that rotates between rounds, and the
+assertion reads the median of the per-round ratios.  A
+measure-baseline-first protocol systematically flatters the baseline on
+CI runners whose clock boost decays over the run, and a single sample
+per configuration lets one slow moment decide the outcome.
 
 Numbers land in ``benchmark.extra_info`` so future PRs have a scaling
 trajectory to compare against.
@@ -35,7 +39,9 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import statistics
 import time
+from typing import Callable
 
 import pytest
 
@@ -43,6 +49,7 @@ from repro.core.registry import build_engine
 from repro.experiments.harness import run_shard_sweep
 from repro.indexes.manager import IndexManager
 from repro.predicates.registry import PredicateRegistry
+from repro.workloads.generator import EventGenerator, PaperSubscriptionGenerator
 from repro.workloads.scenarios import SkewedHotKeyScenario
 
 #: Sharding without parallelism pays union/dispatch overhead only: the
@@ -79,6 +86,34 @@ CPUS = os.cpu_count() or 1
 #: the heaviest per-event baseline (brute force scales best, since its
 #: phase-2 cost is linear in the shard's subscription count).
 ENGINES = ("noncanonical", "bruteforce")
+
+#: Rounds of the interleaved speedup checks.
+TIMING_ROUNDS = 11
+
+
+def interleaved_seconds(
+    runs: dict[str, Callable[[], object]], rounds: int = TIMING_ROUNDS
+) -> dict[str, list[float]]:
+    """Per-round wall times of each configuration, measured interleaved.
+
+    Every round times each configuration once, back to back; the order
+    rotates between rounds, so a host that changes speed mid-test slows
+    every configuration of a round alike and none always runs first.
+    """
+    names = list(runs)
+    samples: dict[str, list[float]] = {name: [] for name in names}
+    for round_index in range(rounds):
+        shift = round_index % len(names)
+        for name in names[shift:] + names[:shift]:
+            start = time.perf_counter()
+            runs[name]()
+            samples[name].append(time.perf_counter() - start)
+    return samples
+
+
+def median_ratio(slower: list[float], faster: list[float]) -> float:
+    """The median over rounds of ``slower[i] / faster[i]``."""
+    return statistics.median(a / b for a, b in zip(slower, faster))
 
 
 def test_runner_shard_phase_produces_curves():
@@ -167,13 +202,12 @@ def test_runner_routing_phase_produces_curves():
 
 
 def test_routed_partitioner_beats_hash_and_unsharded(benchmark):
-    """The PR's acceptance check, measured interleaved.
+    """Routed×8 beats hash×8 and the unsharded engine, interleaved.
 
     Three engines over one shared phase-1 state — unsharded, hash×8,
-    routed×8 — match the same skewed event stream on the per-event path.
-    Each trial times all three back to back and the best trial per
-    engine is kept, so slow-clock trials hurt every configuration
-    equally instead of whichever happened to run first.
+    routed×8 — match the same skewed event stream on the per-event path,
+    timed in :func:`interleaved_seconds` rounds; the ratios are medians
+    of the per-round ratios.
     """
     scenario = SkewedHotKeyScenario(seed=7)
     subscriptions = scenario.subscriptions(1200)
@@ -205,18 +239,14 @@ def test_routed_partitioner_beats_hash_and_unsharded(benchmark):
         "unsharded"
     ].match_batch(events[:32])
 
-    def measure(engine) -> float:
-        start = time.perf_counter()
-        for event in events:
-            engine.match(event)
-        return time.perf_counter() - start
-
-    best = {name: float("inf") for name in engines}
-    for _ in range(3):
-        for name, engine in engines.items():
-            best[name] = min(best[name], measure(engine))
-    routed_vs_hash = best["hash"] / best["routed"]
-    routed_vs_unsharded = best["unsharded"] / best["routed"]
+    seconds = interleaved_seconds(
+        {
+            name: lambda engine=engine: [engine.match(event) for event in events]
+            for name, engine in engines.items()
+        }
+    )
+    routed_vs_hash = median_ratio(seconds["hash"], seconds["routed"])
+    routed_vs_unsharded = median_ratio(seconds["unsharded"], seconds["routed"])
     counters = engines["routed"].counters
     decisions = max(counters.shards_probed + counters.shards_pruned, 1)
     pruned_per_event = counters.shards_pruned / decisions * 8
@@ -224,7 +254,9 @@ def test_routed_partitioner_beats_hash_and_unsharded(benchmark):
         routed_vs_hash=round(routed_vs_hash, 3),
         routed_vs_unsharded=round(routed_vs_unsharded, 3),
         shards_pruned_per_event=round(pruned_per_event, 2),
-        unsharded_events_per_second=round(len(events) / best["unsharded"]),
+        unsharded_events_per_second=round(
+            len(events) / statistics.median(seconds["unsharded"])
+        ),
     )
 
     def run():
@@ -250,20 +282,50 @@ def test_routed_partitioner_beats_hash_and_unsharded(benchmark):
 def test_process_executor_reaches_speedup(benchmark):
     """The acceptance check: with the process executor, 4 shards reach
     ``PROCESS_4SHARD_MIN_SPEEDUP`` × the single-shard serial throughput
-    on at least one engine."""
-    results = run_shard_sweep(
-        subscription_count=600,
-        event_count=256,
-        batch_size=256,
-        shard_counts=(1, 4),
-        engines=ENGINES,
-        executor="process",
-        repeats=3,
-    )
-    speedups = {
-        name: next(p.speedup for p in curve if p.shards == 4)
-        for name, curve in results.items()
-    }
+    on at least one engine.
+
+    Per engine, the unsharded serial engine and the 4-shard process
+    engine match the same 256-event batch in :func:`interleaved_seconds`
+    rounds (the corpus is :func:`run_shard_sweep`'s paper default); the
+    speedup is the median of the per-round ratios.
+    """
+    subscriptions = PaperSubscriptionGenerator(
+        predicates_per_subscription=6, attribute_pool=64, seed=0
+    ).subscriptions(600)
+    events = EventGenerator(
+        attribute_pool=64,
+        attributes_per_event=16,
+        value_range=64,
+        skew=1.1,
+        seed=1,
+    ).events(256)
+    speedups = {}
+    for name in ENGINES:
+        registry = PredicateRegistry()
+        indexes = IndexManager()
+        unsharded = build_engine(name, registry=registry, indexes=indexes)
+        sharded = build_engine(
+            name,
+            shards=4,
+            executor="process",
+            registry=registry,
+            indexes=indexes,
+        )
+        try:
+            for engine in (unsharded, sharded):
+                for subscription in subscriptions:
+                    engine.register(subscription)
+            assert sharded.match_batch(events) == unsharded.match_batch(events)
+            seconds = interleaved_seconds(
+                {
+                    "unsharded": lambda: unsharded.match_batch(events),
+                    "sharded": lambda: sharded.match_batch(events),
+                }
+            )
+        finally:
+            sharded.close()
+            unsharded.close()
+        speedups[name] = median_ratio(seconds["unsharded"], seconds["sharded"])
     best_engine = max(speedups, key=speedups.get)
     benchmark.extra_info.update(
         cpus=CPUS,

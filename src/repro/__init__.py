@@ -10,7 +10,7 @@ The package implements the paper's contribution — a matching engine that
 filters **arbitrary Boolean subscriptions directly**, without rewriting
 them into disjunctive normal form — together with every substrate the
 evaluation depends on: the predicate language and its one-dimensional
-indexes (hash tables, a from-scratch B+ tree, interval index, tries),
+indexes (hash tables, sorted threshold arrays, interval index, tries),
 the canonical DNF pipeline and counting-algorithm baselines it is
 compared against, byte-level subscription tree codecs, a memory cost
 model with a simulated 512 MB machine, a broker overlay network, and the

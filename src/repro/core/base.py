@@ -234,8 +234,8 @@ class FilterEngine(abc.ABC):
         """Two-phase matching over a batch of events.
 
         Result ``i`` equals ``match(events[i])``.  A batch of one takes
-        the per-event path: phase 1 without the probe cache, phase 2
-        through :meth:`match_fulfilled`.  A width-1 matrix was measured
+        the per-event path: phase 1 through :meth:`IndexManager.match`,
+        phase 2 through :meth:`match_fulfilled`.  A width-1 matrix was measured
         1.2-1.5x slower per event than the set path (DESIGN §5), so
         single-event publishing never moves onto it.  Larger batches run
         one phase-1 pass (:meth:`IndexManager.match_batch_bits` for

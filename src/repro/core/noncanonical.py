@@ -40,6 +40,36 @@ from .base import FilterEngine, UnknownSubscriptionError
 from .bitset import FulfilledMatrix, popcount
 
 
+def join_candidates(
+    association: Mapping[int, AbstractSet[int]],
+    unconditional: AbstractSet[int],
+    fulfilled_ids: AbstractSet[int],
+) -> set[int]:
+    """The association join: candidate subscriptions for fulfilled ids.
+
+    ``association`` is the predicate subscription association table
+    (``id(p) -> {id(s)}``) and ``unconditional`` the subscriptions that
+    match under the empty truth assignment, which are always candidates.
+    The join walks its smaller side: normally the fulfilled ids, but
+    when the table holds fewer associations than the event fulfilled
+    predicates — the sharded runtime's small shards — the table itself.
+    Either walk produces the same candidate set; the small-table form is
+    what keeps a pruned shard's probe cost proportional to the shard,
+    not to the event.
+    """
+    candidates: set[int] = set(unconditional)
+    if len(association) < len(fulfilled_ids):
+        for pid, referencing in association.items():
+            if pid in fulfilled_ids:
+                candidates.update(referencing)
+    else:
+        for pid in fulfilled_ids:
+            referencing = association.get(pid)
+            if referencing is not None:
+                candidates.update(referencing)
+    return candidates
+
+
 class NonCanonicalEngine(FilterEngine):
     """Direct filtering of arbitrary Boolean subscriptions.
 
@@ -335,27 +365,10 @@ class NonCanonicalEngine(FilterEngine):
         return matched
 
     def candidates_for(self, fulfilled_ids: AbstractSet[int]) -> set[int]:
-        """The candidate subscription set for a fulfilled-id set.
-
-        Walks the smaller side of the association join: normally the
-        fulfilled ids, but when this engine holds fewer associations
-        than the event fulfilled predicates — the sharded runtime's
-        small shards — the table itself.  Either walk produces the same
-        candidate set; the small-table form is what keeps a pruned
-        shard's probe cost proportional to the shard, not to the event.
-        """
-        association = self._association
-        candidates: set[int] = set(self._empty_assignment_matchers)
-        if len(association) < len(fulfilled_ids):
-            for pid, referencing in association.items():
-                if pid in fulfilled_ids:
-                    candidates.update(referencing)
-        else:
-            for pid in fulfilled_ids:
-                referencing = association.get(pid)
-                if referencing is not None:
-                    candidates.update(referencing)
-        return candidates
+        """The candidate subscription set for a fulfilled-id set."""
+        return join_candidates(
+            self._association, self._empty_assignment_matchers, fulfilled_ids
+        )
 
     def subscriber_of(self, subscription_id: int) -> str | None:
         """The subscriber registered for ``subscription_id``."""

@@ -29,6 +29,7 @@ from ..subscriptions.encoding import BasicTreeCodec
 from ..subscriptions.subscription import Subscription
 from ..subscriptions.tree import SubscriptionTree
 from .base import FilterEngine, UnknownSubscriptionError
+from .noncanonical import join_candidates
 
 
 class DiskTreeStore:
@@ -239,12 +240,9 @@ class PagedNonCanonicalEngine(FilterEngine):
 
     def match_fulfilled(self, fulfilled_ids: AbstractSet[int]) -> set[int]:
         """Candidate selection in RAM, tree evaluation through the cache."""
-        candidates: set[int] = set(self._empty_assignment_matchers)
-        association = self._association
-        for pid in fulfilled_ids:
-            referencing = association.get(pid)
-            if referencing is not None:
-                candidates.update(referencing)
+        candidates = join_candidates(
+            self._association, self._empty_assignment_matchers, fulfilled_ids
+        )
         matched: set[int] = set()
         read = self._store.read
         evaluate = self._codec.evaluate
@@ -276,16 +274,12 @@ class PagedNonCanonicalEngine(FilterEngine):
         for the duration of the batch.
         """
         fulfilled_sets = list(fulfilled_sets)
-        association = self._association
-        empty_matchers = self._empty_assignment_matchers
         per_event: list[set[int]] = []
         needed: set[int] = set()
         for fulfilled_ids in fulfilled_sets:
-            candidates = set(empty_matchers)
-            for pid in fulfilled_ids:
-                referencing = association.get(pid)
-                if referencing is not None:
-                    candidates.update(referencing)
+            candidates = join_candidates(
+                self._association, self._empty_assignment_matchers, fulfilled_ids
+            )
             per_event.append(candidates)
             needed.update(candidates)
         locations = self._locations

@@ -1,15 +1,14 @@
 """One-dimensional predicate indexes (phase-1 matching)."""
 
 from .base import PredicateIndex
-from .bplus_tree import BPlusTree
 from .hash_index import EqualityIndex, ExistsIndex, MembershipIndex, NotEqualIndex
 from .interval_index import IntervalIndex
 from .manager import AttributeIndexes, IndexManager
+from .thresholds import SortedThresholds
 from .trie import ContainsScanList, PrefixTrie, SuffixTrie
 
 __all__ = [
     "PredicateIndex",
-    "BPlusTree",
     "EqualityIndex",
     "ExistsIndex",
     "MembershipIndex",
@@ -17,6 +16,7 @@ __all__ = [
     "IntervalIndex",
     "AttributeIndexes",
     "IndexManager",
+    "SortedThresholds",
     "ContainsScanList",
     "PrefixTrie",
     "SuffixTrie",

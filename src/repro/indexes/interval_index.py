@@ -15,7 +15,8 @@ O(log n + answer).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Optional
+from bisect import bisect_left, bisect_right
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .base import PredicateIndex
 
@@ -32,8 +33,8 @@ class _IntervalNode:
         right: Optional["_IntervalNode"],
     ) -> None:
         self.center = center
-        self.by_low = by_low      # intervals containing center, ascending low
-        self.by_high = by_high    # same intervals, descending high
+        self.by_low = by_low  # intervals containing center, ascending low
+        self.by_high = by_high  # same intervals, descending high
         self.left = left
         self.right = right
 
@@ -148,6 +149,22 @@ class IntervalIndex(PredicateIndex):
             except TypeError:
                 continue
         return result
+
+    def sweep(
+        self, values: Sequence[Any], prefix: Sequence[int]
+    ) -> Iterator[tuple[tuple[int], int]]:
+        """``((pid,), event mask)`` for every interval a batch stabs.
+
+        ``values`` and ``prefix`` are as in
+        :meth:`~repro.indexes.thresholds.SortedThresholds.sweep`: the
+        events inside ``[low, high]`` are a contiguous run of the sorted
+        values, so each live interval costs two bisects and one XOR.
+        """
+        for low, high, pid in self.intervals():
+            inside = prefix[bisect_right(values, high)]
+            mask = inside ^ prefix[bisect_left(values, low)]
+            if mask:
+                yield (pid,), mask
 
     def __len__(self) -> int:
         return len(self._built) - len(self._tombstones) + len(self._pending)

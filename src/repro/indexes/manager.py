@@ -7,21 +7,44 @@ applied based on operators used in predicates" (paper §3.2).
 
 The :class:`IndexManager` owns one :class:`AttributeIndexes` bundle per
 attribute name; each bundle holds the operator-family structures that
-attribute's predicates need (created lazily).  ``match(event)`` walks the
-event's attributes once — "applying indexes means to evaluate each
-attribute only once" (§2.1) — and returns the full set of fulfilled
-predicate identifiers, which is the input every engine's phase 2
-consumes.  ``match_batch(events)`` is the throughput-oriented entry
-point: it memoizes per-attribute probes across the batch so every
-distinct ``(attribute, value)`` pair is evaluated once per batch, no
-matter how many events repeat it (Zipf workloads repeat heavily).
+attribute's predicates need, created on first use:
 
-Operator dispatch is declarative: :data:`OPERATOR_SLOTS` binds each
-:class:`~repro.predicates.operators.Operator` to the bundle slot that
-stores its predicates, and :data:`VALUE_PROBES` lists the probes
-``match`` runs against an event value.  Registering a new operator means
-adding one slot entry (and, if it introduces a new structure, one probe)
-— ``add``, ``remove`` and ``_match_attribute`` need no changes.
+* ``=`` and ``!=`` predicates sit in hash indexes, one per operand
+  *kind*: bools apart from every other value, because under these
+  operators ``True`` equals ``True`` only, never ``1``;
+* ``in`` and ``exists`` predicates sit in hash indexes too;
+* ``<``, ``<=``, ``>`` and ``>=`` predicates sit in sorted threshold
+  arrays (:mod:`repro.indexes.thresholds`), ``between`` predicates in an
+  interval index, one per operand *domain*: numbers and strings do not
+  order against each other, and bools order against nothing;
+* ``prefix``/``suffix`` predicates sit in tries, ``contains`` in a scan
+  list.
+
+Phase 1 reads these structures in two ways:
+
+* ``match(event)`` walks the event's attributes once — "applying indexes
+  means to evaluate each attribute only once" (§2.1) — and returns the
+  set of fulfilled predicate ids.  Each order structure answers with one
+  bisect.
+* ``match_batch_bits(events)`` evaluates each attribute once per
+  *batch*.  It groups the batch's values per attribute, sorts them once
+  per domain and builds prefix-OR event masks over the sorted values
+  (the ``BitList`` idiom of SNIPPETS Snippet 3).  Every threshold's
+  column is then one bisect and one int operation, and every interval's
+  two bisects.  The hash families take one lookup per distinct value,
+  and ``!=`` is the present mask XOR the ``=`` mask.  The result is a
+  :class:`~repro.core.bitset.FulfilledMatrix`; ``match_batch`` expands
+  it to per-event id sets.
+
+A batch costs O(predicates + values · log values) per attribute and no
+longer grows with (distinct value × fulfilled id) pairs, so nothing is
+cached between batches and no state outlives a call.
+
+NaN follows :meth:`~repro.predicates.predicate.Predicate.matches`: it
+fulfils no order or ``between`` predicate and equals nothing.  NaN event
+values skip the order structures (in the batch sweep a NaN in the sort
+would corrupt every other event's prefix mask), and order predicates
+with a NaN operand are registered but held in no structure.
 
 All engines share this phase; the paper's comparison (and ours) is about
 what happens *after* it.
@@ -35,57 +58,173 @@ from typing import Callable, Iterable, Iterator, Sequence
 from ..events.event import Event
 from ..predicates.operators import Operator
 from ..predicates.predicate import Predicate
-from .bplus_tree import BPlusTree
+from .base import PredicateIndex
 from .hash_index import EqualityIndex, ExistsIndex, MembershipIndex, NotEqualIndex
 from .interval_index import IntervalIndex
+from .thresholds import SortedThresholds
 from .trie import ContainsScanList, PrefixTrie, SuffixTrie
 
 _NUMERIC = "numeric"
 _STRING = "string"
 
 
-def _domain(value) -> str:
-    """Order-comparison domain of an operand or event value."""
-    return _STRING if isinstance(value, str) else _NUMERIC
+def _domain(value) -> str | None:
+    """Order domain of a non-bool value; ``None`` for NaN."""
+    if isinstance(value, str):
+        return _STRING
+    return _NUMERIC if value == value else None
+
+
+def _order_domain(predicate: Predicate) -> str | None:
+    """Domain of an order or ``between`` predicate; ``None`` on a NaN bound."""
+    if predicate.operator is Operator.BETWEEN:
+        low, high = predicate.value
+        return _domain(low) if high == high else None
+    return _domain(predicate.value)
+
+
+def _is_bool(predicate: Predicate) -> bool:
+    """The hash-family kind of an ``=``/``!=`` predicate's operand."""
+    return predicate.value.__class__ is bool
 
 
 class AttributeIndexes:
     """All index structures for one attribute, created on first use."""
 
     __slots__ = (
-        "equality", "not_equal", "membership", "exists",
-        "order_trees", "intervals", "prefix", "suffix", "contains",
+        "equality",
+        "not_equal",
+        "membership",
+        "exists",
+        "order",
+        "intervals",
+        "prefix",
+        "suffix",
+        "contains",
+        "entries",
     )
 
     def __init__(self) -> None:
-        self.equality: EqualityIndex | None = None
-        self.not_equal: NotEqualIndex | None = None
+        #: {operand is a bool: index} for ``=`` and ``!=`` predicates
+        self.equality: dict[bool, EqualityIndex] = {}
+        self.not_equal: dict[bool, NotEqualIndex] = {}
         self.membership: MembershipIndex | None = None
         self.exists: ExistsIndex | None = None
-        #: {(operator, domain): BPlusTree} for LT/LE/GT/GE predicates
-        self.order_trees: dict[tuple[Operator, str], BPlusTree] = {}
+        #: {(domain, operator): thresholds} for LT/LE/GT/GE predicates
+        self.order: dict[tuple[str, Operator], SortedThresholds] = {}
         #: {domain: IntervalIndex} for BETWEEN predicates
         self.intervals: dict[str, IntervalIndex] = {}
         self.prefix: PrefixTrie | None = None
         self.suffix: SuffixTrie | None = None
         self.contains: ContainsScanList | None = None
+        #: predicates held across all structures
+        self.entries = 0
 
-    def is_empty(self) -> bool:
-        """Whether every structure is absent or empty."""
-        simple = (
-            self.equality, self.not_equal, self.membership, self.exists,
-            self.prefix, self.suffix, self.contains,
-        )
-        if any(index is not None and len(index) > 0 for index in simple):
-            return False
-        if any(len(tree) > 0 for tree in self.order_trees.values()):
-            return False
-        return all(len(iv) == 0 for iv in self.intervals.values())
+    # ------------------------------------------------------------------
+    # matching
+    # ------------------------------------------------------------------
+    def match_value(self, value, fulfilled: set[int]) -> None:
+        """Add the ids one event value fulfils to ``fulfilled``."""
+        kind = value.__class__ is bool
+        for index in (
+            self.equality.get(kind),
+            self.not_equal.get(kind),
+            self.membership,
+            self.exists,
+        ):
+            if index is not None:
+                fulfilled.update(index.match(value))
+        if kind:
+            return
+        domain = _domain(value)
+        for (index_domain, _), index in self.order.items():
+            if index_domain == domain:
+                fulfilled.update(index.match(value))
+        interval = self.intervals.get(domain)
+        if interval is not None:
+            fulfilled.update(interval.match(value))
+        if domain == _STRING:
+            for index in (self.prefix, self.suffix, self.contains):
+                if index is not None:
+                    fulfilled.update(index.match(value))
+
+    def sweep(self, kinds: tuple[dict, dict], hits: list) -> None:
+        """Append ``(ids, event mask)`` pairs for every fulfilled predicate.
+
+        ``kinds`` holds two maps from the distinct values a batch carries
+        for this attribute to the mask of the events carrying them: other
+        values first, then bools.  Keys merge by equality within a kind,
+        so ``1`` and ``1.0`` share a mask while ``True`` keeps its own.
+        The masks are disjoint, since an event carries an attribute once.
+        """
+        membership = self.membership
+        for is_bool, by_value in zip((False, True), kinds):
+            if not by_value:
+                continue
+            for index in (self.equality.get(is_bool), membership):
+                if index is not None:
+                    hits.extend(index.sweep(by_value))
+            not_equal = self.not_equal.get(is_bool)
+            if self.exists is not None or not_equal is not None:
+                present = 0
+                for mask in by_value.values():
+                    present |= mask
+                if self.exists is not None:
+                    hits.append((self.exists.match(None), present))
+                if not_equal is not None:
+                    hits.extend(not_equal.sweep(present, by_value))
+        tries = [
+            index
+            for index in (self.prefix, self.suffix, self.contains)
+            if index is not None
+        ]
+        if not (kinds[0] and (tries or self.order or self.intervals)):
+            return
+        numbers: list[tuple] = []
+        strings: list[tuple] = []
+        for value, mask in kinds[0].items():
+            if isinstance(value, str):
+                strings.append((value, mask))
+            elif value == value:  # NaN orders with nothing
+                numbers.append((value, mask))
+        for index in tries:
+            for value, mask in strings:
+                ids = set(index.match(value))
+                if ids:
+                    hits.append((ids, mask))
+        for domain, pairs in ((_NUMERIC, numbers), (_STRING, strings)):
+            if not pairs:
+                continue
+            structures: list = [
+                index
+                for (index_domain, _), index in self.order.items()
+                if index_domain == domain
+            ]
+            interval = self.intervals.get(domain)
+            if interval is not None:
+                structures.append(interval)
+            if not structures:
+                continue
+            # one sort per domain, then prefix-OR masks over it
+            pairs.sort()
+            values = [value for value, _ in pairs]
+            prefix = [0]
+            acc = 0
+            for _, mask in pairs:
+                acc |= mask
+                prefix.append(acc)
+            for index in structures:
+                hits.extend(index.sweep(values, prefix))
 
 
 # ----------------------------------------------------------------------
 # declarative operator -> slot dispatch
 # ----------------------------------------------------------------------
+def _operand(predicate: Predicate) -> object:
+    """A predicate's operand: the key most structures index it under."""
+    return predicate.value
+
+
 @dataclass(frozen=True)
 class OperatorSlot:
     """Where one operator family stores its predicates.
@@ -97,167 +236,88 @@ class OperatorSlot:
     callables.
     """
 
-    find: Callable[[AttributeIndexes, Predicate], object | None]
-    create: Callable[["IndexManager", AttributeIndexes, Predicate], object]
-    key: Callable[[Predicate], object]
+    find: Callable[[AttributeIndexes, Predicate], PredicateIndex | None]
+    create: Callable[[AttributeIndexes, Predicate], PredicateIndex]
+    key: Callable[[Predicate], object] = _operand
+    #: whether the structure orders its operands, so a NaN one (which
+    #: orders with nothing) is kept out of it
+    ordered: bool = False
 
 
-def _attribute_slot(
-    attribute: str, factory: Callable[[], object], *, key=lambda p: p.value
-) -> OperatorSlot:
+def _attribute_slot(attribute: str, factory: Callable[[], PredicateIndex]):
     """A slot living in a plain ``AttributeIndexes`` attribute."""
 
     def find(bundle: AttributeIndexes, predicate: Predicate):
         return getattr(bundle, attribute)
 
-    def create(manager: "IndexManager", bundle: AttributeIndexes, predicate):
+    def create(bundle: AttributeIndexes, predicate: Predicate):
         index = factory()
         setattr(bundle, attribute, index)
         return index
 
-    return OperatorSlot(find=find, create=create, key=key)
+    return OperatorSlot(find=find, create=create)
 
 
-def _order_slot(operator: Operator) -> OperatorSlot:
-    """A slot keyed by (operator, operand domain) in ``order_trees``."""
-
-    def find(bundle: AttributeIndexes, predicate: Predicate):
-        return bundle.order_trees.get((operator, _domain(predicate.value)))
-
-    def create(manager: "IndexManager", bundle: AttributeIndexes, predicate):
-        tree = BPlusTree(order=manager._btree_order)
-        bundle.order_trees[(operator, _domain(predicate.value))] = tree
-        return tree
-
-    return OperatorSlot(find=find, create=create, key=lambda p: p.value)
-
-
-def _interval_slot() -> OperatorSlot:
-    """The BETWEEN slot, keyed by the bounds' domain in ``intervals``."""
+def _keyed_slot(
+    attribute: str,
+    slot_key: Callable[[Predicate], object],
+    factory: Callable[[], PredicateIndex],
+    *,
+    ordered: bool = False,
+) -> OperatorSlot:
+    """A slot in an ``AttributeIndexes`` dict, keyed by ``slot_key``."""
 
     def find(bundle: AttributeIndexes, predicate: Predicate):
-        return bundle.intervals.get(_domain(predicate.value[0]))
+        return getattr(bundle, attribute).get(slot_key(predicate))
 
-    def create(manager: "IndexManager", bundle: AttributeIndexes, predicate):
-        index = IntervalIndex()
-        bundle.intervals[_domain(predicate.value[0])] = index
+    def create(bundle: AttributeIndexes, predicate: Predicate):
+        index = getattr(bundle, attribute)[slot_key(predicate)] = factory()
         return index
 
-    return OperatorSlot(find=find, create=create, key=lambda p: p.value)
+    return OperatorSlot(find=find, create=create, ordered=ordered)
+
+
+def _order_slot(operator: Operator, *, below: bool, inclusive: bool) -> OperatorSlot:
+    """A slot keyed by (operand domain, operator) in ``order``."""
+    return _keyed_slot(
+        "order",
+        lambda predicate: (_order_domain(predicate), operator),
+        lambda: SortedThresholds(below=below, inclusive=inclusive),
+        ordered=True,
+    )
 
 
 #: The dispatch registry: one entry per supported operator.  New
-#: operators plug in here without touching ``add``/``remove``/matching.
+#: operators plug in here without touching ``add``/``remove``.
 OPERATOR_SLOTS: dict[Operator, OperatorSlot] = {
-    Operator.EQ: _attribute_slot("equality", EqualityIndex),
-    Operator.NE: _attribute_slot("not_equal", NotEqualIndex),
+    Operator.EQ: _keyed_slot("equality", _is_bool, EqualityIndex),
+    Operator.NE: _keyed_slot("not_equal", _is_bool, NotEqualIndex),
     Operator.IN: _attribute_slot("membership", MembershipIndex),
-    Operator.EXISTS: _attribute_slot("exists", ExistsIndex, key=lambda p: None),
-    Operator.LT: _order_slot(Operator.LT),
-    Operator.LE: _order_slot(Operator.LE),
-    Operator.GT: _order_slot(Operator.GT),
-    Operator.GE: _order_slot(Operator.GE),
-    Operator.BETWEEN: _interval_slot(),
+    Operator.EXISTS: _attribute_slot("exists", ExistsIndex),
+    Operator.LT: _order_slot(Operator.LT, below=False, inclusive=False),
+    Operator.LE: _order_slot(Operator.LE, below=False, inclusive=True),
+    Operator.GT: _order_slot(Operator.GT, below=True, inclusive=False),
+    Operator.GE: _order_slot(Operator.GE, below=True, inclusive=True),
+    Operator.BETWEEN: _keyed_slot(
+        "intervals", _order_domain, IntervalIndex, ordered=True
+    ),
     Operator.PREFIX: _attribute_slot("prefix", PrefixTrie),
     Operator.SUFFIX: _attribute_slot("suffix", SuffixTrie),
     Operator.CONTAINS: _attribute_slot("contains", ContainsScanList),
 }
 
 
-# ----------------------------------------------------------------------
-# declarative value -> probe dispatch (the match side)
-# ----------------------------------------------------------------------
-# Guards select which probes apply to an event value: every value hits
-# the hash-family probes; orderable values (everything but bool) hit the
-# order/interval probes; strings additionally hit the trie probes.
-_GUARD_ALL = "all"
-_GUARD_ORDERED = "ordered"
-_GUARD_STRING = "string"
-
-
-def _simple_probe(attribute: str):
-    def probe(bundle: AttributeIndexes, value) -> Iterable[int]:
-        index = getattr(bundle, attribute)
-        return index.match(value) if index is not None else ()
-
-    return probe
-
-
-def _order_probe(operator: Operator, bound: str, inclusive: bool):
-    # attr < v is fulfilled iff v > value: scan (value, +inf); similarly
-    # for the other comparison operators.
-    def probe(bundle: AttributeIndexes, value) -> Iterable[int]:
-        tree = bundle.order_trees.get((operator, _domain(value)))
-        if tree is None:
-            return ()
-        if bound == "low":
-            return tree.range_ids(low=value, include_low=inclusive)
-        return tree.range_ids(high=value, include_high=inclusive)
-
-    return probe
-
-
-def _interval_probe(bundle: AttributeIndexes, value) -> Iterable[int]:
-    index = bundle.intervals.get(_domain(value))
-    return index.match(value) if index is not None else ()
-
-
-#: (guard, probe) pairs; ``_match_attribute`` runs the probes whose guard
-#: admits the event value and unions their ids.
-VALUE_PROBES: tuple[tuple[str, Callable], ...] = (
-    (_GUARD_ALL, _simple_probe("equality")),
-    (_GUARD_ALL, _simple_probe("not_equal")),
-    (_GUARD_ALL, _simple_probe("membership")),
-    (_GUARD_ALL, _simple_probe("exists")),
-    (_GUARD_ORDERED, _order_probe(Operator.LT, "low", False)),
-    (_GUARD_ORDERED, _order_probe(Operator.LE, "low", True)),
-    (_GUARD_ORDERED, _order_probe(Operator.GT, "high", False)),
-    (_GUARD_ORDERED, _order_probe(Operator.GE, "high", True)),
-    (_GUARD_ORDERED, _interval_probe),
-    (_GUARD_STRING, _simple_probe("prefix")),
-    (_GUARD_STRING, _simple_probe("suffix")),
-    (_GUARD_STRING, _simple_probe("contains")),
-)
-
-_PROBES_BOOL = tuple(p for g, p in VALUE_PROBES if g == _GUARD_ALL)
-_PROBES_NUMERIC = tuple(
-    p for g, p in VALUE_PROBES if g in (_GUARD_ALL, _GUARD_ORDERED)
-)
-_PROBES_STRING = tuple(p for _, p in VALUE_PROBES)
-
-_CACHE_MISS = object()
-
-#: The persistent probe cache is cleared when it exceeds this many
-#: distinct ``(attribute, type, value)`` entries — a safety valve for
-#: adversarial value streams; the curated workloads stay far below it.
-_PROBE_CACHE_LIMIT = 65536
-
-
-def _probes_for(value) -> tuple[Callable, ...]:
-    """The probe tuple admitted by ``value``'s type (bool before int)."""
-    if isinstance(value, bool):
-        return _PROBES_BOOL
-    if isinstance(value, str):
-        return _PROBES_STRING
-    return _PROBES_NUMERIC
+def _indexed(slot: OperatorSlot, predicate: Predicate) -> bool:
+    """Whether a structure holds ``predicate``: all but NaN-bound orders."""
+    return not slot.ordered or _order_domain(predicate) is not None
 
 
 class IndexManager:
     """Registers predicates into per-attribute indexes and matches events."""
 
-    def __init__(self, *, btree_order: int = 64) -> None:
-        if btree_order < 3:
-            raise ValueError("btree_order must be at least 3")
-        self._btree_order = btree_order
+    def __init__(self) -> None:
         self._attributes: dict[str, AttributeIndexes] = {}
         self._registered: dict[int, Predicate] = {}
-        #: bumped on every add/remove; guards the probe cache
-        self._version = 0
-        #: (attribute, value type, value) -> fulfilled id set (None when
-        #: the attribute has no indexes); persists across batches until
-        #: the predicate population changes
-        self._probe_cache: dict[tuple[str, type, object], set[int] | None] = {}
-        self._probe_cache_version = 0
         #: predicate-id -> bit-position layout (lazy; see core.bitset)
         self._layout = None
 
@@ -273,16 +333,17 @@ class IndexManager:
         """
         if predicate_id in self._registered:
             return
-        slot = OPERATOR_SLOTS.get(predicate.operator)
-        if slot is None:  # pragma: no cover - exhaustive over Operator
-            raise NotImplementedError(predicate.operator)
-        bundle = self._attributes.setdefault(predicate.attribute, AttributeIndexes())
-        index = slot.find(bundle, predicate)
-        if index is None:
-            index = slot.create(self, bundle, predicate)
-        index.insert(slot.key(predicate), predicate_id)
+        slot = OPERATOR_SLOTS[predicate.operator]
+        if _indexed(slot, predicate):
+            bundle = self._attributes.get(predicate.attribute)
+            if bundle is None:
+                bundle = self._attributes[predicate.attribute] = AttributeIndexes()
+            index = slot.find(bundle, predicate)
+            if index is None:
+                index = slot.create(bundle, predicate)
+            index.insert(slot.key(predicate), predicate_id)
+            bundle.entries += 1
         self._registered[predicate_id] = predicate
-        self._version += 1
         self.bit_layout.assign(predicate_id)
 
     def remove(self, predicate_id: int) -> bool:
@@ -291,11 +352,12 @@ class IndexManager:
         if predicate is None:
             return False
         slot = OPERATOR_SLOTS[predicate.operator]
-        bundle = self._attributes[predicate.attribute]
-        slot.find(bundle, predicate).remove(slot.key(predicate), predicate_id)
-        if bundle.is_empty():
-            del self._attributes[predicate.attribute]
-        self._version += 1
+        if _indexed(slot, predicate):
+            bundle = self._attributes[predicate.attribute]
+            slot.find(bundle, predicate).remove(slot.key(predicate), predicate_id)
+            bundle.entries -= 1
+            if not bundle.entries:
+                del self._attributes[predicate.attribute]
         if self._layout is not None:
             self._layout.release(predicate_id)
         return True
@@ -321,21 +383,6 @@ class IndexManager:
             layout = self._layout = BitLayout()
         return layout
 
-    @property
-    def version(self) -> int:
-        """Mutation counter: bumped by every ``add`` and ``remove``."""
-        return self._version
-
-    def _live_probe_cache(self) -> dict[tuple[str, type, object], set[int] | None]:
-        """The probe cache, cleared if stale or oversized."""
-        if (
-            self._probe_cache_version != self._version
-            or len(self._probe_cache) > _PROBE_CACHE_LIMIT
-        ):
-            self._probe_cache = {}
-            self._probe_cache_version = self._version
-        return self._probe_cache
-
     # ------------------------------------------------------------------
     # matching (phase 1)
     # ------------------------------------------------------------------
@@ -345,100 +392,60 @@ class IndexManager:
         attributes = self._attributes
         for attribute, value in event.items():
             bundle = attributes.get(attribute)
-            if bundle is None:
-                continue
-            self._match_attribute(bundle, value, fulfilled)
+            if bundle is not None:
+                bundle.match_value(value, fulfilled)
         return fulfilled
 
     def match_batch(self, events: Sequence[Event]) -> list[set[int]]:
-        """Phase 1 over a batch: one probe per distinct attribute value.
+        """Phase 1 over a batch as per-event id sets.
 
-        Events' attribute values are grouped so each per-attribute bundle
-        is probed once per distinct ``(attribute, value)`` pair; repeated
-        values (heavy under Zipf-skewed workloads) reuse the memoized id
-        set.  The cache *persists across batches* and is invalidated by
-        any ``add``/``remove`` — the per-pair fulfilled set is a pure
-        function of the indexed predicate population, never of the event
-        stream.  The cache key includes the value's concrete type because
-        matching distinguishes ``True`` from ``1`` (and the string and
-        numeric domains) even though they hash equally.
+        Result ``i`` equals ``match(events[i])``: the batch sweep's
+        matrix, expanded row by row.
         """
-        results: list[set[int]] = []
-        cache = self._live_probe_cache()
-        attributes = self._attributes
-        for event in events:
-            fulfilled: set[int] = set()
-            for attribute, value in event.items():
-                key = (attribute, value.__class__, value)
-                hit = cache.get(key, _CACHE_MISS)
-                if hit is _CACHE_MISS:
-                    bundle = attributes.get(attribute)
-                    if bundle is None:
-                        hit = None
-                    else:
-                        hit = set()
-                        self._match_attribute(bundle, value, hit)
-                    cache[key] = hit
-                if hit:
-                    fulfilled |= hit
-            results.append(fulfilled)
-        return results
+        return self._sweep(events).to_id_sets()
 
     def match_batch_bits(self, events: Sequence[Event]):
         """Phase 1 over a batch, in the kernel's column-major bit form.
 
         Returns a :class:`~repro.core.bitset.FulfilledMatrix`: one
-        event-space integer column per fulfilled predicate bit.  The
-        probes (and their persistent cache) are shared with
-        :meth:`match_batch`; the only difference is the output encoding —
-        instead of unioning each pair's id set into per-event Python
-        sets, every id's column gets the pair's event mask OR-ed in, one
-        int operation per (distinct pair, fulfilled id).
+        event-space integer column per fulfilled predicate bit, built by
+        one sweep per attribute (see the module docstring).
         """
+        return self._sweep(events)
+
+    def _sweep(self, events: Sequence[Event]):
+        """The one batch phase-1 implementation behind both batch forms."""
         from ..core.bitset import FulfilledMatrix
 
-        layout = self.bit_layout
-        cache = self._live_probe_cache()
         attributes = self._attributes
-        # distinct (attribute, type, value) -> mask of events carrying it
-        pair_events: dict[tuple[str, type, object], int] = {}
+        # attribute -> ({value: event mask}, {bool value: event mask})
+        groups: dict[str, tuple[dict, dict]] = {}
         event_bit = 1
         for event in events:
             for attribute, value in event.items():
-                key = (attribute, value.__class__, value)
-                prev = pair_events.get(key)
-                pair_events[key] = (
-                    event_bit if prev is None else prev | event_bit
-                )
+                kinds = groups.get(attribute)
+                if kinds is None:
+                    if attribute not in attributes:
+                        continue
+                    kinds = groups[attribute] = ({}, {})
+                by_value = kinds[value.__class__ is bool]
+                by_value[value] = by_value.get(value, 0) | event_bit
             event_bit <<= 1
+        hits: list[tuple[Iterable[int], int]] = []
+        for attribute, kinds in groups.items():
+            attributes[attribute].sweep(kinds, hits)
+        layout = self.bit_layout
+        bit_of = layout.bits
         columns = [0] * layout.capacity
         active_bits: list[int] = []
-        bit_of = layout.bits
-        for key, event_mask in pair_events.items():
-            hit = cache.get(key, _CACHE_MISS)
-            if hit is _CACHE_MISS:
-                bundle = attributes.get(key[0])
-                if bundle is None:
-                    hit = None
-                else:
-                    hit = set()
-                    self._match_attribute(bundle, key[2], hit)
-                cache[key] = hit
-            if hit:
-                for pid in hit:
-                    bit = bit_of[pid]
-                    if not columns[bit]:
-                        active_bits.append(bit)
-                    columns[bit] |= event_mask
+        for ids, mask in hits:
+            for pid in ids:
+                bit = bit_of[pid]
+                column = columns[bit]
+                if not column:
+                    active_bits.append(bit)
+                columns[bit] = column | mask
         return FulfilledMatrix(layout, columns, active_bits, len(events))
-
-    def _match_attribute(
-        self, bundle: AttributeIndexes, value, fulfilled: set[int]
-    ) -> None:
-        for probe in _probes_for(value):
-            ids = probe(bundle, value)
-            if ids:
-                fulfilled.update(ids)
 
     # ------------------------------------------------------------------
     # introspection

@@ -10,7 +10,8 @@ structure serves them in predicate matching (paper §3.2):
 * **point** operators (``EQ``, ``NE``, ``IN``, ``BOOL``-style equality) are
   served by hash indexes;
 * **range** operators (``LT``, ``LE``, ``GT``, ``GE``, ``BETWEEN``) are
-  served by B+ trees / interval indexes;
+  served by the paper's B+ trees (held as sorted threshold arrays, see
+  :mod:`repro.indexes.thresholds`) / interval indexes;
 * **string** operators (``PREFIX``, ``SUFFIX``, ``CONTAINS``) are served
   by tries (prefix/suffix) or scan lists (contains).
 """

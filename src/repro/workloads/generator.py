@@ -86,7 +86,7 @@ class PaperSubscriptionGenerator:
         serial = next(self._counter)
         attribute = f"attr{serial % self.attribute_pool:03d}"
         # Unique value per serial; alternate operators across the
-        # hash/B+ tree families so phase 1 exercises both index types.
+        # hash and order families so phase 1 exercises both index types.
         value = serial * 7 + 13
         operator = (Operator.EQ, Operator.GT, Operator.LE)[serial % 3]
         return Predicate(attribute, operator, value)

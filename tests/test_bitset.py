@@ -209,7 +209,7 @@ class TestIndexManagerBits:
         manager.add(Predicate("x", Operator.GT, 1), 1)
         events = [Event({"x": 5}), Event({"x": 5})]
         assert manager.match_batch_bits(events).to_id_sets() == [{1}, {1}]
-        # a structural change must not leave the cached probe stale
+        # a structural change shows in the very next batch
         manager.add(Predicate("x", Operator.GT, 4), 2)
         assert manager.match_batch_bits(events).to_id_sets() == [{1, 2}] * 2
         manager.remove(1)

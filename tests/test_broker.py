@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from helpers import ALL_ENGINE_NAMES
 from repro.broker import Broker, Publisher, Subscriber
 from repro import CountingEngine
 from repro.events import (
@@ -15,6 +18,21 @@ from repro.events import (
 )
 from repro.memory import SimulatedMachine
 from repro.subscriptions import Subscription
+
+
+@pytest.mark.parametrize("engine", ALL_ENGINE_NAMES)
+def test_nan_fulfils_no_order_predicate(engine):
+    """NaN orders with nothing (``Predicate.matches``): on its own and
+    inside a batch, so both phase-1 paths are held to it, and without
+    disturbing the other events of the batch."""
+    broker = Broker("edge", engine=engine)
+    above = broker.subscribe("x > 5").subscription_id
+    inside = broker.subscribe("x between [1, 9]").subscription_id
+    nan = Event({"x": math.nan})
+    assert broker.publish(nan) == []
+    batch = broker.publish([Event({"x": 7}), nan, Event({"x": 3})])
+    delivered = [{n.subscription_id for n in row} for row in batch]
+    assert delivered == [{above, inside}, set(), {inside}]
 
 
 class TestBrokerBasics:

@@ -7,9 +7,9 @@ the matrix fallback.  Two documented exceptions are named below.  The
 sharded runtime keeps one batch loop (``match_batch``) and treats a
 single event as a batch of one.
 
-A batch of one must stay on the per-event path: phase 1 without the
-probe cache, phase 2 on sets — so single-event publishing cannot move
-onto the cached or matrix path unnoticed.
+A batch of one must stay on the per-event path: phase 1 through
+``IndexManager.match``, phase 2 on sets — so single-event publishing
+cannot move onto the batch sweep or the matrix path unnoticed.
 
 The match/probe counters every engine keeps are exposed through
 ``FilterEngine.stats()`` and ``Broker.engine_stats()``, and aggregate
@@ -111,19 +111,26 @@ ENGINE_CONFIGS += [
 
 
 @pytest.mark.parametrize("spec, options", ENGINE_CONFIGS)
-def test_batch_of_one_is_the_per_event_path(spec, options):
+def test_batch_of_one_is_the_per_event_path(spec, options, monkeypatch):
     engine = _loaded(spec, **options)
     try:
         indexes = engine.indexes
-        engine.match_batch(list(EVENTS[1:]))  # warm the probe cache
-        engine.register(Subscription.from_text("qty = 4"))  # stale now
-        cache, version = indexes._probe_cache, indexes._probe_cache_version
-        entries = dict(cache)
+        calls = []
+        for method in ("match_batch", "match_batch_bits"):
+
+            def spy(events, _method=method, _original=getattr(indexes, method)):
+                calls.append(_method)
+                return _original(events)
+
+            monkeypatch.setattr(indexes, method, spy)
+        # the spies see a wider batch, except on the oracle, which
+        # bypasses the shared indexes
+        engine.match_batch(list(EVENTS[1:]))
+        assert bool(calls) == (spec != "brute-force")
+        calls.clear()
         for event in EVENTS:
             assert engine.match_batch([event]) == [engine.match(event)]
-        assert indexes._probe_cache is cache
-        assert indexes._probe_cache_version == version
-        assert dict(cache) == entries
+        assert calls == []
     finally:
         engine.close()
 
