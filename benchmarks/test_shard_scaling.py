@@ -3,27 +3,22 @@
 The measurements come from the harness's shard sweep
 (:func:`~repro.experiments.harness.run_shard_sweep`) and, for the
 interleaved routed-versus-unsharded check, from engines timed here
-directly; every pass/fail number is a constant in this module.  Four
-properties are asserted:
+directly; every pass/fail number is a constant in this module.  Shards
+run in-process, one after another, so sharding buys speed only by
+pruning shards.  Three properties are asserted:
 
 * the sweep produces well-formed curves (parity is verified inside the
   harness before anything is timed);
-* the **serial** executor's coordination overhead is bounded — sharding
-  without parallelism must not collapse throughput
+* the coordination overhead of hash sharding is bounded — sharding
+  without pruning must not collapse throughput
   (:data:`SERIAL_4SHARD_MIN_RATIO`);
-* the **process** executor turns shards into real speedup: at
-  quick-benchmark scale, 4 shards reach
-  :data:`PROCESS_4SHARD_MIN_SPEEDUP` × the single-shard serial baseline
-  on at least one engine.  On single-core runners (or without the
-  ``fork`` start method) that test *skips* — there is no parallel
-  hardware to demonstrate on;
-* the **routed** partitioner makes *serial* sharding pay on the skewed
-  hot-key corpus: it must beat the hash partitioner at the same shard
-  count by :data:`ROUTED_OVER_HASH_MIN_RATIO` and the unsharded engine
-  outright (:data:`ROUTED_SERIAL_MIN_SPEEDUP`), with ``shards_pruned``
-  counters confirming the speedup came from pruning, not noise.
+* the **routed** partitioner makes sharding pay on the skewed hot-key
+  corpus: it must beat the hash partitioner at the same shard count by
+  :data:`ROUTED_OVER_HASH_MIN_RATIO` and the unsharded engine outright
+  (:data:`ROUTED_SERIAL_MIN_SPEEDUP`), with ``shards_pruned`` counters
+  confirming the speedup came from pruning, not noise.
 
-The two speedup checks assert from interleaved repeated samples
+The routed speedup check asserts from interleaved repeated samples
 (:func:`interleaved_seconds`): every round times each configuration
 once, back to back, in an order that rotates between rounds, and the
 assertion reads the median of the per-round ratios.  A
@@ -37,41 +32,31 @@ trajectory to compare against.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import statistics
 import time
 from typing import Callable
-
-import pytest
 
 from repro.core.registry import build_engine
 from repro.experiments.harness import run_shard_sweep
 from repro.indexes.manager import IndexManager
 from repro.predicates.registry import PredicateRegistry
-from repro.workloads.generator import EventGenerator, PaperSubscriptionGenerator
 from repro.workloads.scenarios import SkewedHotKeyScenario
 
-#: Sharding without parallelism pays union/dispatch overhead only: the
-#: 4-shard serial configuration must keep at least this fraction of the
+#: Sharding without pruning pays union/dispatch overhead only: the
+#: 4-shard hash configuration must keep at least this fraction of the
 #: unsharded throughput.
 SERIAL_4SHARD_MIN_RATIO = 0.5
 
-#: With the process executor, 4 shards must reach this speedup over the
-#: single-shard serial baseline on at least one engine (multi-core
-#: runners only; the benchmark skips on <2 cores).
-PROCESS_4SHARD_MIN_SPEEDUP = 1.3
-
 #: The routed partitioner must beat the hash partitioner by this factor
-#: at the same shard count on the skewed hot-key corpus (serial
-#: executor, per-event path).  Both configurations are measured in the
-#: same process a few seconds apart, so the ratio is robust to the
-#: baseline-first CPU-frequency bias that makes absolute ``speedup``
-#: values noisy; observed values sit at 1.3–1.5×.
+#: at the same shard count on the skewed hot-key corpus (per-event
+#: path).  Both configurations are measured in the same process a few
+#: seconds apart, so the ratio is robust to the baseline-first
+#: CPU-frequency bias that makes absolute ``speedup`` values noisy;
+#: observed values sit at 1.3–1.5×.
 ROUTED_OVER_HASH_MIN_RATIO = 1.15
 
-#: Shard pruning must make *serial* sharding a win, not just less of a
-#: loss: routed sharding must beat the unsharded engine on the skewed
+#: Shard pruning must make sharding a win, not just less of a loss:
+#: routed sharding must beat the unsharded engine on the skewed
 #: corpus.  ``run_shard_sweep`` measures the baseline first and the
 #: sharded points later, which systematically flatters the baseline
 #: (CPU boost decays over the run) — so the benchmark asserting this
@@ -79,15 +64,12 @@ ROUTED_OVER_HASH_MIN_RATIO = 1.15
 #: trusting the sweep's ``speedup`` field.
 ROUTED_SERIAL_MIN_SPEEDUP = 1.0
 
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
-CPUS = os.cpu_count() or 1
-
 #: Engines the scaling benchmarks sweep: the paper's contribution and
 #: the heaviest per-event baseline (brute force scales best, since its
 #: phase-2 cost is linear in the shard's subscription count).
 ENGINES = ("noncanonical", "bruteforce")
 
-#: Rounds of the interleaved speedup checks.
+#: Rounds of the interleaved speedup check.
 TIMING_ROUNDS = 11
 
 
@@ -117,21 +99,19 @@ def median_ratio(slower: list[float], faster: list[float]) -> float:
 
 
 def test_runner_shard_phase_produces_curves():
-    """Every engine gets a 1/2/4-shard serial curve with a speedup
-    relative to its own unsharded baseline."""
+    """Every engine gets a 1/2/4-shard curve with a speedup relative to
+    its own unsharded baseline."""
     shard_counts = (1, 2, 4)
     results = run_shard_sweep(
         subscription_count=150,
         shard_counts=shard_counts,
         engines=ENGINES,
-        executor="serial",
         event_count=128,
         repeats=1,
     )
     assert set(results) == set(ENGINES)
     for engine, curve in results.items():
         assert [point.shards for point in curve] == list(shard_counts)
-        assert curve[0].executor == "serial"
         assert curve[0].speedup == 1.0
         assert all(point.events_per_second > 0 for point in curve)
         assert all(point.engine == engine for point in curve)
@@ -139,15 +119,14 @@ def test_runner_shard_phase_produces_curves():
 
 
 def test_serial_sharding_overhead_is_bounded(benchmark):
-    """Partitioning without parallelism costs union/dispatch overhead
-    only — the 4-shard serial configuration must keep at least
+    """Partitioning without pruning costs union/dispatch overhead
+    only — the 4-shard hash configuration must keep at least
     ``SERIAL_4SHARD_MIN_RATIO`` of the unsharded throughput."""
     results = run_shard_sweep(
         subscription_count=300,
         event_count=256,
         shard_counts=(1, 4),
         engines=("noncanonical",),
-        executor="serial",
         repeats=3,
     )
     curve = results["noncanonical"]
@@ -168,21 +147,19 @@ def test_serial_sharding_overhead_is_bounded(benchmark):
 
     benchmark(run)
     assert four.speedup > SERIAL_4SHARD_MIN_RATIO, (
-        f"serial 4-shard throughput collapsed to {four.speedup:.2f}x of "
+        f"hash 4-shard throughput collapsed to {four.speedup:.2f}x of "
         "the unsharded baseline"
     )
 
 
 def test_runner_routing_phase_produces_curves():
-    """Hash and routed curves on the skew corpus (serial executor,
-    per-event path); the routed point explains itself with pruning
-    counters."""
+    """Hash and routed curves on the skew corpus (per-event path); the
+    routed point explains itself with pruning counters."""
     curves = {
         partitioner: run_shard_sweep(
             subscription_count=300,
             shard_counts=(1, 8),
             engines=("noncanonical",),
-            executor="serial",
             partitioner=partitioner,
             corpus="skew",
             batch_size=1,
@@ -270,81 +247,6 @@ def test_routed_partitioner_beats_hash_and_unsharded(benchmark):
         "skew corpus"
     )
     assert routed_vs_unsharded > ROUTED_SERIAL_MIN_SPEEDUP, (
-        f"routed×8 serial fell below the unsharded baseline "
+        f"routed×8 fell below the unsharded baseline "
         f"({routed_vs_unsharded:.2f}x)"
-    )
-
-
-@pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
-@pytest.mark.skipif(
-    CPUS < 2, reason="shard parallelism needs more than one core"
-)
-def test_process_executor_reaches_speedup(benchmark):
-    """The acceptance check: with the process executor, 4 shards reach
-    ``PROCESS_4SHARD_MIN_SPEEDUP`` × the single-shard serial throughput
-    on at least one engine.
-
-    Per engine, the unsharded serial engine and the 4-shard process
-    engine match the same 256-event batch in :func:`interleaved_seconds`
-    rounds (the corpus is :func:`run_shard_sweep`'s paper default); the
-    speedup is the median of the per-round ratios.
-    """
-    subscriptions = PaperSubscriptionGenerator(
-        predicates_per_subscription=6, attribute_pool=64, seed=0
-    ).subscriptions(600)
-    events = EventGenerator(
-        attribute_pool=64,
-        attributes_per_event=16,
-        value_range=64,
-        skew=1.1,
-        seed=1,
-    ).events(256)
-    speedups = {}
-    for name in ENGINES:
-        registry = PredicateRegistry()
-        indexes = IndexManager()
-        unsharded = build_engine(name, registry=registry, indexes=indexes)
-        sharded = build_engine(
-            name,
-            shards=4,
-            executor="process",
-            registry=registry,
-            indexes=indexes,
-        )
-        try:
-            for engine in (unsharded, sharded):
-                for subscription in subscriptions:
-                    engine.register(subscription)
-            assert sharded.match_batch(events) == unsharded.match_batch(events)
-            seconds = interleaved_seconds(
-                {
-                    "unsharded": lambda: unsharded.match_batch(events),
-                    "sharded": lambda: sharded.match_batch(events),
-                }
-            )
-        finally:
-            sharded.close()
-            unsharded.close()
-        speedups[name] = median_ratio(seconds["unsharded"], seconds["sharded"])
-    best_engine = max(speedups, key=speedups.get)
-    benchmark.extra_info.update(
-        cpus=CPUS,
-        **{f"speedup_{name}": round(value, 3) for name, value in speedups.items()},
-    )
-
-    def run():
-        run_shard_sweep(
-            subscription_count=120,
-            event_count=64,
-            shard_counts=(1, 4),
-            engines=(best_engine,),
-            executor="process",
-            repeats=1,
-        )
-
-    benchmark(run)
-    assert speedups[best_engine] >= PROCESS_4SHARD_MIN_SPEEDUP, (
-        f"process executor at 4 shards only reached "
-        f"{speedups[best_engine]:.2f}x on {best_engine} "
-        f"(all: {speedups}, {CPUS} cpus)"
     )

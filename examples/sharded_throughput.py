@@ -8,16 +8,14 @@ the subscription interest, yet the stable hash partitioner still
 spreads the subscriptions evenly, which the per-shard stats show.
 
 The second half runs a miniature shard-scaling sweep
-(``run_shard_sweep``) printing throughput and speedup per shard count —
-with the process executor when this machine has the cores for it.
+(``run_shard_sweep``) printing throughput and speedup per shard count.
+Shards run in-process, one after another, so hash sharding costs a
+little coordination and never buys speed.
 
 Run:  python examples/sharded_throughput.py
 """
 
 from __future__ import annotations
-
-import multiprocessing
-import os
 
 from repro import Broker
 from repro.experiments import run_shard_sweep
@@ -36,7 +34,7 @@ def main() -> None:
         broker.subscribe(subscription)
     print(
         f"{SUBSCRIBERS} subscribers registered on {broker.name!r} "
-        f"({broker.engine.name}, executor={broker.engine.executor_name})"
+        f"({broker.engine.name}, partitioner={broker.engine.partitioner_name})"
     )
 
     print("per-shard stats (hot keys, yet an even partition):")
@@ -56,30 +54,23 @@ def main() -> None:
     )
 
     # -- shard-scaling sweep ------------------------------------------
-    executor = "serial"
-    if (os.cpu_count() or 1) >= 2 and (
-        "fork" in multiprocessing.get_all_start_methods()
-    ):
-        executor = "process"
-    print(f"\nshard-scaling sweep (executor={executor!r}):")
+    print("\nshard-scaling sweep:")
     results = run_shard_sweep(
         subscription_count=300,
         event_count=256,
         shard_counts=(1, 2, 4),
         engines=("noncanonical",),
-        executor=executor,
         repeats=2,
     )
-    print(f"  {'shards':>6}  {'executor':>8}  {'events/sec':>12}  {'speedup':>7}")
+    print(f"  {'shards':>6}  {'events/sec':>12}  {'speedup':>7}")
     for point in results["noncanonical"]:
         print(
-            f"  {point.shards:>6}  {point.executor:>8}  "
-            f"{point.events_per_second:>12,.0f}  {point.speedup:>6.2f}x"
+            f"  {point.shards:>6}  {point.events_per_second:>12,.0f}  "
+            f"{point.speedup:>6.2f}x"
         )
     print(
         "\nspeedup is relative to the unsharded single-shard baseline; "
-        "expect ~1x for serial\n(partitioning overhead only) and >1x for "
-        "process on multi-core machines."
+        "expect ~1x or a little\nbelow (hash partitioning overhead only)."
     )
 
 

@@ -61,12 +61,8 @@ from .core import (
     NonCanonicalEngine,
     PagedNonCanonicalEngine,
     HashPartitioner,
-    ProcessExecutor,
     RoutedPartitioner,
-    SerialExecutor,
-    ShardExecutor,
     ShardPartitioner,
-    ShardWorkerError,
     ShardedEngine,
     UnknownEngineError,
     UnknownSubscriptionError,
@@ -74,14 +70,10 @@ from .core import (
     build_engine,
     canonical_engine_name,
     engine_names,
-    executor_names,
-    make_executor,
     make_partitioner,
     partitioner_names,
     popcount,
     register_engine,
-    register_executor,
-    register_partitioner,
     resolve_engine,
     shard_index,
     spec_of,
@@ -137,19 +129,11 @@ __all__ = [
     "resolve_engine",
     "spec_of",
     "ShardedEngine",
-    "ShardExecutor",
     "ShardPartitioner",
     "HashPartitioner",
     "RoutedPartitioner",
-    "SerialExecutor",
-    "ProcessExecutor",
-    "ShardWorkerError",
-    "executor_names",
-    "make_executor",
     "make_partitioner",
     "partitioner_names",
-    "register_executor",
-    "register_partitioner",
     "shard_index",
     "BitLayout",
     "BruteForceEngine",

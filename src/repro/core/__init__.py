@@ -30,19 +30,11 @@ from .registry import (
 )
 from .sharded import (
     HashPartitioner,
-    ProcessExecutor,
     RoutedPartitioner,
-    SerialExecutor,
-    ShardExecutor,
     ShardPartitioner,
-    ShardWorkerError,
     ShardedEngine,
-    executor_names,
-    make_executor,
     make_partitioner,
     partitioner_names,
-    register_executor,
-    register_partitioner,
     shard_index,
 )
 
@@ -79,18 +71,10 @@ __all__ = [
     "resolve_engine",
     "spec_of",
     "ShardedEngine",
-    "ShardExecutor",
     "ShardPartitioner",
     "HashPartitioner",
     "RoutedPartitioner",
-    "SerialExecutor",
-    "ProcessExecutor",
-    "ShardWorkerError",
-    "executor_names",
-    "make_executor",
     "make_partitioner",
     "partitioner_names",
-    "register_executor",
-    "register_partitioner",
     "shard_index",
 ]

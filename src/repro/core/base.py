@@ -311,7 +311,7 @@ class FilterEngine(abc.ABC):
         """Release external resources; a no-op for in-memory engines.
 
         The paged engine closes (and, when owned, deletes) its disk
-        store; the sharded engine closes its executor and shards.
+        store; the sharded engine closes its shards.
         """
 
     # ------------------------------------------------------------------

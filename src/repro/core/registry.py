@@ -123,12 +123,13 @@ class EngineSpec:
     >>> spec.build().name
     'non-canonical'
 
-    Three reserved options describe the **sharded runtime** rather than
+    Two reserved options describe the **sharded runtime** rather than
     the inner engine: ``shards`` (partition the subscriptions across
-    that many inner engines, see :mod:`repro.core.sharded`),
+    that many inner engines, see :mod:`repro.core.sharded`) and
     ``partitioner`` (the subscription placement strategy, default
-    ``"hash"``; ``"routed"`` adds event-space shard pruning) and
-    ``executor`` (the shard evaluation strategy, default ``"serial"``).
+    ``"hash"``; ``"routed"`` adds event-space shard pruning).  Beside
+    ``shards``, ``executor`` is accepted with the value ``"serial"``
+    only: shards always run in-process.
     ``EngineSpec("noncanonical×4")`` is shorthand for
     ``EngineSpec("noncanonical", {"shards": 4})`` — sharded configs
     serialize, compare, and sweep like any engine.
@@ -176,11 +177,15 @@ class EngineSpec:
         if shards is not None:
             from .sharded import ShardedEngine
 
+            if executor not in (None, "serial"):
+                raise ValueError(
+                    f"executor={executor!r} is not available: shards run "
+                    "in-process, in one loop, and 'serial' is the only executor"
+                )
             return ShardedEngine(
                 EngineSpec(self.name, options),
                 shards=shards,
                 partitioner=partitioner if partitioner is not None else "hash",
-                executor=executor if executor is not None else "serial",
                 registry=registry,
                 indexes=indexes,
             )
@@ -263,17 +268,14 @@ def spec_of(engine: FilterEngine) -> EngineSpec:
     Captures engine *identity*, not construction options — round-trips
     the name (``build_engine(name)`` → ``spec_of(...)`` → same name).
     For a sharded engine, identity includes the partitioning itself:
-    inner-engine name plus ``shards``/``executor`` (and ``partitioner``
-    when it differs from the ``"hash"`` default, keeping pre-routing
-    specs round-trip-stable).
+    inner-engine name plus ``shards`` (and ``partitioner`` when it
+    differs from the ``"hash"`` default, keeping pre-routing specs
+    round-trip-stable).
     """
     from .sharded import ShardedEngine
 
     if isinstance(engine, ShardedEngine):
-        options: dict[str, Any] = {
-            "shards": engine.shard_count,
-            "executor": engine.executor_name,
-        }
+        options: dict[str, Any] = {"shards": engine.shard_count}
         if engine.partitioner_name != "hash":
             options["partitioner"] = engine.partitioner_name
         return EngineSpec(engine.spec.name, options)

@@ -1,38 +1,32 @@
 """Sharded matching runtime: partition subscriptions across engine shards.
 
-The paper benchmarks a single matcher process; scaling to millions of
+The paper benchmarks a single matcher; scaling to millions of
 subscriptions needs the registered population split across several
 independent matchers whose answers are unioned.  This module provides
 that as a first-class engine: :class:`ShardedEngine` partitions
 subscriptions across ``N`` inner shards — each built from any
 :class:`~repro.core.registry.EngineSpec` — places them through a
-pluggable :class:`ShardPartitioner`, and evaluates them through a
-pluggable :class:`ShardExecutor` strategy.
+:class:`ShardPartitioner` strategy, and evaluates them in one
+in-process loop over the candidate shards.
 
-Three properties make the design sound:
+Two properties make the design sound:
 
 * **the partitioner owns the subscription→shard map** and every mutation
   flows through it (``assign`` on register, ``forget`` on unregister,
-  ``plan_rebalance`` moves), so ``register``, ``unregister``, worker
-  rebuilds and event routing always agree on who owns what;
+  ``plan_rebalance`` moves), so ``register``, ``unregister`` and event
+  routing always agree on who owns what;
 * **shards share the parent's phase-1 state** (predicate registry and
   index manager), so a fulfilled-predicate-id set means the same thing
-  to every shard and ``match_fulfilled`` is simply the union of the
-  shards' answers;
-* **subscription ids are globally stable**, so matched-id sets are
-  comparable no matter which process computed them — the process
-  executor's fork workers rebuild their shard from the inner spec plus
-  their subscription slice (private registry, private indexes) and only
-  events and matched ids ever cross the process boundary.
+  to every shard, one phase-1 pass per batch serves every shard, and
+  ``match_fulfilled`` is simply the union of the shards' answers.
 
 Partitioner strategies
 ----------------------
 ``hash``
     :func:`shard_index`, a Knuth multiplicative hash of the subscription
     id.  Stateless and perfectly balanced, but *blind*: every event must
-    visit every shard, so serial sharding is pure overhead (serial
-    ``run_shard_sweep`` curves scale negatively).  The default,
-    preserving the PR 3 behavior.
+    visit every shard, so sharding is pure overhead (``run_shard_sweep``
+    curves scale negatively).  The default.
 ``routed``
     :class:`RoutedPartitioner` — places each subscription into an
     **event-space region group** derived from its expression summary
@@ -44,33 +38,15 @@ Partitioner strategies
     map to shards, and a per-event digest probe (point lookups over the
     anchor index, interval admission over the merged scan hulls) yields
     the *candidate shard subset* — pruned shards are never probed, which
-    is where the serial speedup comes from.  Group loads feed a greedy
-    rebalancer that migrates whole groups off overloaded shards.
-
-Executor strategies
--------------------
-``serial``
-    Evaluate shards one after another in the calling thread.  The
-    default: deterministic, zero overhead, the right choice for CI and
-    for correctness baselines.
-``process``
-    Fork one long-lived worker per shard.  Workers rebuild their shard
-    from ``spec`` + subscription slice at start and stay current under
-    churn (register/unregister commands are forwarded).  Only
-    :meth:`ShardedEngine.match_batch` (and ``match``, a batch of one) is
-    routed to workers — phase-2-only entry points (``match_fulfilled``)
-    take fulfilled predicate ids that are parent-registry-relative,
-    which a rebuilt worker cannot interpret, so they fall back to the
-    in-process shards.  Routed pruning composes: each worker receives
-    only the events its shard is a candidate for.
+    is where the speedup over hash sharding comes from.  Group loads
+    feed a greedy rebalancer that migrates whole groups off overloaded
+    shards.
 """
 
 from __future__ import annotations
 
 import abc
-import multiprocessing
-import traceback
-from typing import AbstractSet, Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from ..events.event import Event
 from ..indexes.manager import IndexManager
@@ -81,15 +57,13 @@ from ..subscriptions.summary import interval_admits, summarize
 from .base import FilterEngine, MatchCounters, UnknownSubscriptionError
 from .registry import EngineSpec
 
-T = TypeVar("T")
-
 #: Knuth's multiplicative constant (2^32 / phi); spreads consecutive ids.
 _HASH_MULTIPLIER = 2654435761
 _HASH_MASK = 0xFFFFFFFF
 
 
 def shard_index(subscription_id: int, shard_count: int) -> int:
-    """The shard owning ``subscription_id`` — stable across processes.
+    """The shard owning ``subscription_id`` — stable across runs.
 
     A multiplicative hash with the high half folded into the low half —
     a bare ``(id * C) % shards`` keeps ``id``'s own low bits for
@@ -157,7 +131,7 @@ class ShardPartitioner(abc.ABC):
         """Load-balancing moves as ``(subscription_id, src, dst)`` tuples.
 
         The partitioner updates its own placement map before returning;
-        the engine applies the corresponding shard/worker migrations.
+        the engine applies the corresponding shard migrations.
         An empty list means the placement is balanced enough.
         """
         return []
@@ -175,10 +149,10 @@ class ShardPartitioner(abc.ABC):
 class HashPartitioner(ShardPartitioner):
     """Stateless id-hash placement — every event visits every shard.
 
-    The PR 3 behavior and the default.  Placement is a pure function of
-    the subscription id, so there is nothing to remember, nothing to
-    rebalance, and zero bytes of routing state (``shards=1`` hash
-    configurations stay memory-identical to the unsharded engine).
+    The default.  Placement is a pure function of the subscription id,
+    so there is nothing to remember, nothing to rebalance, and zero
+    bytes of routing state (``shards=1`` hash configurations stay
+    memory-identical to the unsharded engine).
     """
 
     name = "hash"
@@ -237,7 +211,8 @@ class RoutedPartitioner(ShardPartitioner):
           admits every event.
 
         A new anchor group goes to the **home shard** of its smallest
-        anchor value (first-come, least-loaded; sticky thereafter), so
+        anchor value (first-come, least-loaded; sticky while any live
+        group anchors at that value, released once none does), so
         every group touching a key co-locates with that key's other
         groups — an event for the key then resolves to one or two
         shards instead of wherever load-balancing happened to scatter
@@ -283,7 +258,8 @@ class RoutedPartitioner(ShardPartitioner):
         self._point_index: dict[str, dict] = {}
         #: hull/universal groups, admission-scanned per event
         self._scan_groups: set[_RegionGroup] = set()
-        #: (attr, anchor value) -> sticky home shard for new groups
+        #: (attr, anchor value) -> sticky home shard for new groups,
+        #: held while a live group anchors at that value
         self._value_homes: dict[tuple, int] = {}
         self._loads: list[int] = []
 
@@ -405,7 +381,9 @@ class RoutedPartitioner(ShardPartitioner):
                 if groups is not None:
                     groups.discard(group)
                     if not groups:
+                        # no live group anchors here: release the home
                         del attr_map[value]
+                        self._value_homes.pop((key[1], value), None)
             if not attr_map:
                 self._point_index.pop(key[1], None)
         else:
@@ -507,351 +485,30 @@ class RoutedPartitioner(ShardPartitioner):
         return {"shard_router": total}
 
 
-#: partitioner name -> zero-argument strategy factory
-_PARTITIONERS: dict[str, Callable[[], ShardPartitioner]] = {}
-
-
-def register_partitioner(
-    name: str, factory: Callable[[], ShardPartitioner], *, override: bool = False
-) -> None:
-    """Add a partitioner strategy under ``name`` (pluggable, like engines)."""
-    if not name:
-        raise ValueError("partitioner name must be non-empty")
-    if name in _PARTITIONERS and not override:
-        raise ValueError(
-            f"partitioner {name!r} is already registered; pass override=True "
-            "to replace it"
-        )
-    _PARTITIONERS[name] = factory
+#: partitioner name -> strategy class
+_PARTITIONERS: dict[str, type[ShardPartitioner]] = {
+    "hash": HashPartitioner,
+    "routed": RoutedPartitioner,
+}
 
 
 def partitioner_names() -> tuple[str, ...]:
-    """The registered partitioner strategy names, in registration order."""
+    """The partitioner strategy names."""
     return tuple(_PARTITIONERS)
 
 
 def make_partitioner(partitioner: ShardPartitioner | str) -> ShardPartitioner:
-    """Resolve a partitioner strategy instance or registered name."""
+    """Resolve a partitioner strategy instance or name."""
     if isinstance(partitioner, ShardPartitioner):
         return partitioner
     try:
         factory = _PARTITIONERS[partitioner]
     except (KeyError, TypeError):
         raise ValueError(
-            f"unknown partitioner {partitioner!r}; registered partitioners: "
+            f"unknown partitioner {partitioner!r}; partitioners: "
             f"{', '.join(partitioner_names())}"
         ) from None
     return factory()
-
-
-register_partitioner("hash", HashPartitioner)
-register_partitioner("routed", RoutedPartitioner)
-
-
-# ----------------------------------------------------------------------
-# executor strategies
-# ----------------------------------------------------------------------
-class ShardExecutor(abc.ABC):
-    """Strategy that evaluates per-shard work and collects the results.
-
-    A strategy is bound to exactly one :class:`ShardedEngine`
-    (:meth:`bind`), sees every registration change
-    (:meth:`notify_register` / :meth:`notify_unregister`), and is closed
-    with the engine.  The two evaluation hooks:
-
-    * :meth:`map_shards` runs the given zero-argument jobs (one per
-      *candidate* shard — routed configurations may pass fewer jobs than
-      shards) and returns their results in job order — phase-2 work
-      (``match_fulfilled``) flows through it;
-    * :meth:`match_batch_events` may claim full two-phase batch matching
-      (events in, per-event matched-id sets out); returning ``None``
-      defers to the in-process pipeline.
-    """
-
-    #: Strategy name as it appears in specs and ``executor=`` options.
-    name: str = "abstract"
-
-    def bind(self, engine: "ShardedEngine") -> None:
-        """Attach to the owning engine; called once, before any work."""
-        self._engine = engine
-
-    def close(self) -> None:
-        """Release pools/workers; the engine is unusable through this
-        strategy afterwards."""
-
-    def notify_register(self, shard: int, subscription: Subscription) -> None:
-        """``subscription`` was registered on shard ``shard``."""
-
-    def notify_unregister(self, shard: int, subscription_id: int) -> None:
-        """``subscription_id`` was unregistered from shard ``shard``."""
-
-    @abc.abstractmethod
-    def map_shards(self, jobs: Sequence[Callable[[], T]]) -> list[T]:
-        """Run the per-shard jobs; return results in job order."""
-
-    def match_batch_events(
-        self,
-        events: Sequence[Event],
-        shard_events: Sequence[Sequence[int]],
-    ) -> list[set[int]] | None:
-        """Full two-phase batch matching, or ``None`` to use the
-        in-process phase-1 + phase-2 pipeline.
-
-        ``shard_events[s]`` lists (ascending) the indices of the events
-        shard ``s`` is a candidate for — the executor must evaluate only
-        those and may skip shards with an empty list.
-        """
-        return None
-
-
-class SerialExecutor(ShardExecutor):
-    """Evaluate shards in order on the calling thread (deterministic)."""
-
-    name = "serial"
-
-    def map_shards(self, jobs: Sequence[Callable[[], T]]) -> list[T]:
-        return [job() for job in jobs]
-
-
-def _shard_worker_main(
-    connection,
-    spec: EngineSpec,
-    subscriptions: list[Subscription],
-) -> None:
-    """Worker loop: rebuild the shard from spec + slice, serve commands.
-
-    Runs in a forked child.  The engine is rebuilt on a *private*
-    registry and index manager — predicate ids here mean nothing to the
-    parent, which is why the protocol only ever carries events, whole
-    subscriptions, and matched subscription ids.
-    """
-    try:
-        engine = spec.build()
-        for subscription in subscriptions:
-            engine.register(subscription)
-    except BaseException:
-        connection.send(("error", traceback.format_exc()))
-        connection.close()
-        return
-    connection.send(("ready", engine.subscription_count))
-    while True:
-        try:
-            command, payload = connection.recv()
-        except EOFError:
-            break
-        try:
-            if command == "match_batch":
-                connection.send(("ok", engine.match_batch(payload)))
-            elif command == "register":
-                engine.register(payload)
-                connection.send(("ok", None))
-            elif command == "unregister":
-                engine.unregister(payload)
-                connection.send(("ok", None))
-            elif command == "stop":
-                connection.send(("ok", None))
-                break
-            else:
-                connection.send(("error", f"unknown command {command!r}"))
-        except BaseException:
-            connection.send(("error", traceback.format_exc()))
-    engine.close()
-    connection.close()
-
-
-class ShardWorkerError(RuntimeError):
-    """A shard worker process reported a failure."""
-
-
-class ProcessExecutor(ShardExecutor):
-    """One forked, long-lived worker process per shard.
-
-    Workers are started lazily on the first batch match (so purely
-    serial usage never pays the fork) and rebuilt shards stay current:
-    registrations after start are forwarded as commands.  Requires the
-    ``fork`` start method — on platforms without it construction of the
-    worker pool raises, and callers should use ``serial``.
-    """
-
-    name = "process"
-
-    def __init__(self) -> None:
-        self._connections: list = []
-        self._processes: list = []
-        self._started = False
-
-    # -- lifecycle ------------------------------------------------------
-    def _ensure_started(self) -> None:
-        if self._started:
-            return
-        engine = self._engine
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise ShardWorkerError(
-                "the process executor needs the 'fork' start method "
-                "(unavailable on this platform); use executor='serial'"
-            )
-        context = multiprocessing.get_context("fork")
-        slices = engine.shard_subscription_slices()
-        try:
-            for shard, subscriptions in enumerate(slices):
-                parent_end, child_end = context.Pipe()
-                process = context.Process(
-                    target=_shard_worker_main,
-                    args=(child_end, engine.spec, subscriptions),
-                    name=f"repro-shard-{shard}",
-                    daemon=True,
-                )
-                process.start()
-                child_end.close()
-                self._connections.append(parent_end)
-                self._processes.append(process)
-            for shard, connection in enumerate(self._connections):
-                status, payload = connection.recv()
-                if status != "ready":
-                    raise ShardWorkerError(
-                        f"shard worker {shard} failed to build:\n{payload}"
-                    )
-        except BaseException:
-            # tear everything down so a retry starts from scratch instead
-            # of appending a second worker set to a half-built pool
-            self.close()
-            raise
-        self._started = True
-
-    def close(self) -> None:
-        for connection in self._connections:
-            try:
-                connection.send(("stop", None))
-                connection.recv()
-            except (BrokenPipeError, EOFError, OSError):
-                pass
-            connection.close()
-        for process in self._processes:
-            process.join(timeout=5)
-            if process.is_alive():
-                process.terminate()
-        self._connections = []
-        self._processes = []
-        self._started = False
-
-    # -- command plumbing ----------------------------------------------
-    def _command_one(self, shard: int, command: str, payload):
-        """One command round-trip; any failure **stops the pool**.
-
-        The parent's in-process shards are the authoritative state.  If
-        a worker cannot be kept in sync (command error, dead pipe), the
-        only safe move is to kill the workers: the next batch match
-        rebuilds them from the parent's current slices.  Leaving them
-        running would silently return match sets from divergent state.
-        """
-        connection = self._connections[shard]
-        try:
-            connection.send((command, payload))
-            status, result = connection.recv()
-        except (BrokenPipeError, EOFError, OSError) as error:
-            self.close()
-            raise ShardWorkerError(
-                f"shard worker {shard} died during {command!r}: {error}"
-            ) from error
-        if status != "ok":
-            self.close()
-            raise ShardWorkerError(
-                f"shard worker {shard} failed on {command!r}:\n{result}"
-            )
-        return result
-
-    def notify_register(self, shard: int, subscription: Subscription) -> None:
-        if self._started:
-            self._command_one(shard, "register", subscription)
-
-    def notify_unregister(self, shard: int, subscription_id: int) -> None:
-        if self._started:
-            self._command_one(shard, "unregister", subscription_id)
-
-    # -- evaluation -----------------------------------------------------
-    def map_shards(self, jobs: Sequence[Callable[[], T]]) -> list[T]:
-        # Phase-2-only work takes parent-registry-relative predicate ids,
-        # which a rebuilt worker cannot interpret; run it in-process.
-        return [job() for job in jobs]
-
-    def match_batch_events(
-        self,
-        events: Sequence[Event],
-        shard_events: Sequence[Sequence[int]],
-    ) -> list[set[int]]:
-        self._ensure_started()
-        payload = list(events)
-        live = [
-            (shard, list(indices))
-            for shard, indices in enumerate(shard_events)
-            if indices
-        ]
-        results: list[set[int]] = [set() for _ in payload]
-        # Scatter each worker's candidate-event subset first, then
-        # gather — the send/recv split is where the parallelism comes
-        # from, and pruned shards are never contacted at all.
-        try:
-            for shard, indices in live:
-                if len(indices) == len(payload):
-                    subset = payload
-                else:
-                    subset = [payload[i] for i in indices]
-                self._connections[shard].send(("match_batch", subset))
-            for shard, indices in live:
-                status, result = self._connections[shard].recv()
-                if status != "ok":
-                    raise ShardWorkerError(
-                        f"shard worker {shard} failed on 'match_batch':\n{result}"
-                    )
-                for position, index in enumerate(indices):
-                    results[index] |= result[position]
-        except BaseException:
-            # fail-stop: a half-drained pool would misalign every later
-            # round-trip; the next call restarts from parent state
-            self.close()
-            raise
-        return results
-
-
-#: executor name -> zero-argument strategy factory
-_EXECUTORS: dict[str, Callable[[], ShardExecutor]] = {}
-
-
-def register_executor(
-    name: str, factory: Callable[[], ShardExecutor], *, override: bool = False
-) -> None:
-    """Add an executor strategy under ``name`` (pluggable, like engines)."""
-    if not name:
-        raise ValueError("executor name must be non-empty")
-    if name in _EXECUTORS and not override:
-        raise ValueError(
-            f"executor {name!r} is already registered; pass override=True "
-            "to replace it"
-        )
-    _EXECUTORS[name] = factory
-
-
-def executor_names() -> tuple[str, ...]:
-    """The registered executor strategy names, in registration order."""
-    return tuple(_EXECUTORS)
-
-
-def make_executor(executor: ShardExecutor | str) -> ShardExecutor:
-    """Resolve an executor strategy instance or registered name."""
-    if isinstance(executor, ShardExecutor):
-        return executor
-    try:
-        factory = _EXECUTORS[executor]
-    except (KeyError, TypeError):
-        raise ValueError(
-            f"unknown executor {executor!r}; registered executors: "
-            f"{', '.join(executor_names())}"
-        ) from None
-    return factory()
-
-
-register_executor("serial", SerialExecutor)
-register_executor("process", ProcessExecutor)
 
 
 # ----------------------------------------------------------------------
@@ -870,11 +527,8 @@ class ShardedEngine(FilterEngine):
     shards:
         Number of inner shards (>= 1).
     partitioner:
-        Placement strategy: a registered name (``"hash"``, ``"routed"``)
-        or a :class:`ShardPartitioner` instance.
-    executor:
-        Evaluation strategy: a registered name (``"serial"``,
-        ``"process"``) or a :class:`ShardExecutor` instance.
+        Placement strategy: a name (``"hash"``, ``"routed"``) or a
+        :class:`ShardPartitioner` instance.
     registry / indexes:
         Shared phase-1 state, as for every engine; all shards share it,
         so one phase-1 pass serves every shard.
@@ -888,7 +542,6 @@ class ShardedEngine(FilterEngine):
         *,
         shards: int = 2,
         partitioner: ShardPartitioner | str = "hash",
-        executor: ShardExecutor | str = "serial",
         registry: PredicateRegistry | None = None,
         indexes: IndexManager | None = None,
     ) -> None:
@@ -916,8 +569,6 @@ class ShardedEngine(FilterEngine):
         self._subscriptions: dict[int, Subscription] = {}
         self._partitioner = make_partitioner(partitioner)
         self._partitioner.bind(shards)
-        self._executor = make_executor(executor)
-        self._executor.bind(self)
         self.name = f"{self._shards[0].name}×{shards}"
         # one shared phase-1 bit matrix can feed every shard's phase 2
         # iff the shards have a matrix kernel; otherwise the set pipeline
@@ -928,11 +579,6 @@ class ShardedEngine(FilterEngine):
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @property
-    def executor_name(self) -> str:
-        """Name of the active executor strategy."""
-        return self._executor.name
-
     @property
     def partitioner_name(self) -> str:
         """Name of the active partitioner strategy."""
@@ -952,17 +598,6 @@ class ShardedEngine(FilterEngine):
         """The shard currently owning ``subscription_id``."""
         return self._partitioner.shard_of(subscription_id)
 
-    def shard_subscription_slices(self) -> list[list[Subscription]]:
-        """Per-shard subscription lists, each in registration (id) order.
-
-        This plus :attr:`spec` is everything a worker needs to rebuild a
-        shard — the contract the process executor relies on.
-        """
-        slices: list[list[Subscription]] = [[] for _ in self._shards]
-        for sid in sorted(self._subscriptions):
-            slices[self.shard_of(sid)].append(self._subscriptions[sid])
-        return slices
-
     def shard_stats(self) -> list[dict]:
         """Per-shard stats dicts (shard index added to each)."""
         stats = []
@@ -977,9 +612,7 @@ class ShardedEngine(FilterEngine):
         """Aggregated phase-2 work counters, summed across the shards.
 
         The parent contributes its own routing counters
-        (``shards_probed``/``shards_pruned``); probe work is in-process
-        only — batches the process executor routes to its fork workers
-        are probed in the workers, not here.
+        (``shards_probed``/``shards_pruned``).
         """
         total = MatchCounters(**self._counters.snapshot())
         for shard in self._shards:
@@ -994,7 +627,6 @@ class ShardedEngine(FilterEngine):
     def stats(self) -> dict:
         entry = super().stats()
         entry["shards"] = self.shard_count
-        entry["executor"] = self.executor_name
         entry["partitioner"] = self.partitioner_name
         return entry
 
@@ -1014,7 +646,6 @@ class ShardedEngine(FilterEngine):
             self._partitioner.forget(sid)
             raise
         self._subscriptions[sid] = subscription
-        self._executor.notify_register(shard, subscription)
         self._maybe_rebalance()
 
     def unregister(self, subscription_id: int) -> None:
@@ -1024,22 +655,16 @@ class ShardedEngine(FilterEngine):
         self._shards[shard].unregister(subscription_id)
         self._partitioner.forget(subscription_id)
         del self._subscriptions[subscription_id]
-        self._executor.notify_unregister(shard, subscription_id)
         self._maybe_rebalance()
 
     def _maybe_rebalance(self) -> None:
         """Apply the partitioner's migration plan, if any.
 
-        Moves flow through the ordinary shard register/unregister calls
-        plus the executor notify protocol, so process workers receive
-        the same migrations the in-process shards do and stay current.
+        Moves flow through the ordinary shard register/unregister calls.
         """
         for sid, src, dst in self._partitioner.plan_rebalance():
-            subscription = self._subscriptions[sid]
             self._shards[src].unregister(sid)
-            self._shards[dst].register(subscription)
-            self._executor.notify_unregister(src, sid)
-            self._executor.notify_register(dst, subscription)
+            self._shards[dst].register(self._subscriptions[sid])
 
     @property
     def subscription_count(self) -> int:
@@ -1056,23 +681,19 @@ class ShardedEngine(FilterEngine):
     # matching
     # ------------------------------------------------------------------
     def match(self, event: Event) -> set[int]:
-        """A batch of one through :meth:`match_batch` (same pruning,
-        counters and executor)."""
+        """A batch of one through :meth:`match_batch` (same pruning and
+        counters)."""
         return self.match_batch([event])[0]
 
     def match_fulfilled(self, fulfilled_ids: AbstractSet[int]) -> set[int]:
-        """Union of the shards' phase-2 answers, via the executor.
+        """Union of the shards' phase-2 answers.
 
         No event is in scope here, so no shard pruning: fulfilled ids
         alone cannot tell which event-space region produced them.
         """
-        answers = self._executor.map_shards(
-            [
-                lambda shard=shard: shard.match_fulfilled(fulfilled_ids)
-                for shard in self._shards
-            ]
+        return set().union(
+            *(shard.match_fulfilled(fulfilled_ids) for shard in self._shards)
         )
-        return set().union(*answers)
 
     def _partition_events(self, events: Sequence[Event]) -> list[list[int]]:
         """Per-shard candidate-event index lists (ascending), counted.
@@ -1098,56 +719,42 @@ class ShardedEngine(FilterEngine):
         return shard_events
 
     def match_batch(self, events: Sequence[Event]) -> list[set[int]]:
-        """Batch matching; the executor may claim the whole pipeline.
+        """Batch matching over the candidate shards, in one loop.
 
         The partitioner first computes each event's candidate shard
-        subset; pruned shards are never probed.  The process executor
-        then ships each worker only its candidate events; in-process,
-        one shared phase-1 pass feeds phase 2 on the candidate shards —
-        sliced from one column-major bit matrix
-        (:meth:`FulfilledMatrix.select`) when the shards have a matrix
-        kernel, as per-event id sets otherwise.  A batch of one takes
-        the per-event phase 1 and ``match_fulfilled``, as on every
-        engine.
+        subset; pruned shards are never probed.  One shared phase-1 pass
+        then feeds phase 2 on the candidate shards — sliced from one
+        column-major bit matrix (:meth:`FulfilledMatrix.select`) when
+        the shards have a matrix kernel, as per-event id sets otherwise.
+        A batch of one takes the per-event phase 1 and
+        ``match_fulfilled``, as on every engine.
         """
         events = list(events)
         if not events:
             return []
-        shard_events = self._partition_events(events)
-        routed = self._executor.match_batch_events(events, shard_events)
-        if routed is not None:
-            return routed
         results: list[set[int]] = [set() for _ in events]
         live = [
             (self._shards[shard], indices)
-            for shard, indices in enumerate(shard_events)
+            for shard, indices in enumerate(self._partition_events(events))
             if indices
         ]
         if not live:
             return results
         if len(events) == 1:
             fulfilled_ids = self.indexes.match(events[0])
-            jobs = [
-                lambda shard=shard: [shard.match_fulfilled(fulfilled_ids)]
-                for shard, _ in live
-            ]
+            answers = ([shard.match_fulfilled(fulfilled_ids)] for shard, _ in live)
         elif self._matrix_capable:
             matrix = self.indexes.match_batch_bits(events)
-            jobs = [
-                lambda shard=shard, indices=indices: shard.match_fulfilled_matrix(
-                    matrix.select(indices)
-                )
+            answers = (
+                shard.match_fulfilled_matrix(matrix.select(indices))
                 for shard, indices in live
-            ]
+            )
         else:
             fulfilled = self.indexes.match_batch(events)
-            jobs = [
-                lambda shard=shard, indices=indices: shard.match_fulfilled_batch(
-                    [fulfilled[i] for i in indices]
-                )
+            answers = (
+                shard.match_fulfilled_batch([fulfilled[i] for i in indices])
                 for shard, indices in live
-            ]
-        answers = self._executor.map_shards(jobs)
+            )
         for (_, indices), shard_sets in zip(live, answers):
             for position, index in enumerate(indices):
                 results[index] |= shard_sets[position]
@@ -1179,8 +786,7 @@ class ShardedEngine(FilterEngine):
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the executor (workers, pools) and the shards."""
-        self._executor.close()
+        """Close the shards."""
         for shard in self._shards:
             shard.close()
 
@@ -1194,6 +800,5 @@ class ShardedEngine(FilterEngine):
         return (
             f"ShardedEngine({self.spec.name!r}, shards={self.shard_count}, "
             f"partitioner={self.partitioner_name!r}, "
-            f"executor={self.executor_name!r}, "
             f"subscriptions={self.subscription_count})"
         )

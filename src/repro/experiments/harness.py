@@ -449,12 +449,11 @@ class ShardScalingPoint:
 
     engine: str                   # inner-engine canonical spec name
     shards: int
-    executor: str
     batch_size: int
     events: int                   # events matched per repeat
     seconds: float                # best-of-repeats wall time for them
     events_per_second: float
-    speedup: float                # vs the single-shard serial baseline
+    speedup: float                # vs the unsharded baseline
     partitioner: str = "hash"     # placement strategy ("hash" at shards=1)
     counters: Mapping[str, float] | None = None  # per-event work averages
     memory_bytes: int = 0         # (aggregated) paper-cost-model bytes
@@ -464,7 +463,6 @@ def run_shard_sweep(
     *,
     subscription_count: int,
     shard_counts: Sequence[int] = DEFAULT_SHARD_COUNTS,
-    executor: str = "serial",
     partitioner: str = "hash",
     corpus: str = "paper",
     engines: Sequence | None = None,
@@ -484,19 +482,16 @@ def run_shard_sweep(
     For each engine (registry names or specs; factories and instances
     are rejected because the sweep derives sharded variants from the
     spec), the same subscription population and event stream are matched
-    by the **unsharded** engine — the single-shard serial baseline,
-    reported as the ``shards=1`` point with ``speedup=1.0`` — and by a
+    by the **unsharded** engine — the baseline, reported as the
+    ``shards=1`` point with ``speedup=1.0`` — and by a
     :class:`~repro.core.sharded.ShardedEngine` at every other shard
-    count with the requested ``executor`` and ``partitioner``.  Speedups
-    are relative to that baseline, so a curve above 1.0 means
-    partitioning pays for its coordination.
+    count with the requested ``partitioner``.  Speedups are relative to
+    that baseline, so a curve above 1.0 means partitioning pays for its
+    coordination.
 
-    With the ``serial`` executor and the ``hash`` partitioner the curve
-    isolates pure partitioning overhead (expect ≈1.0 or slightly below);
-    the ``routed`` partitioner is where *serial* speedups appear, since
-    pruned shards are never probed; ``thread`` adds GIL-bound
-    concurrency; ``process`` is where multi-core speedups appear, since
-    each fork worker matches its slice with both phases in parallel.
+    With the ``hash`` partitioner the curve isolates pure partitioning
+    overhead (expect ≈1.0 or slightly below); the ``routed`` partitioner
+    is where speedups appear, since pruned shards are never probed.
 
     ``corpus`` selects the workload: ``"paper"`` is the
     :class:`PaperSubscriptionGenerator`/:class:`EventGenerator` pair (as
@@ -563,7 +558,6 @@ def run_shard_sweep(
         name,
         engine,
         shards: int,
-        executor_name: str,
         partitioner_name: str,
         speedup_base=None,
     ):
@@ -573,7 +567,6 @@ def run_shard_sweep(
         return ShardScalingPoint(
             engine=name,
             shards=shards,
-            executor=executor_name,
             batch_size=batch_size,
             events=point.events,
             seconds=point.seconds,
@@ -594,9 +587,9 @@ def run_shard_sweep(
         try:
             for subscription in subscriptions:
                 baseline_engine.register(subscription)
-            # the unsharded baseline has no placement; like its executor
-            # field it is pinned to the defaults for record stability
-            baseline = measure(spec.name, baseline_engine, 1, "serial", "hash")
+            # the unsharded baseline has no placement; it is pinned to
+            # the default for record stability
+            baseline = measure(spec.name, baseline_engine, 1, "hash")
             curve = [baseline]
             expected = (
                 baseline_engine.match_batch(probe) if verify_parity else None
@@ -605,9 +598,7 @@ def run_shard_sweep(
                 if shard_count == 1:
                     continue  # the unsharded baseline is the shards=1 point
                 sharded = spec.with_options(
-                    shards=shard_count,
-                    executor=executor,
-                    partitioner=partitioner,
+                    shards=shard_count, partitioner=partitioner
                 ).build(registry=registry, indexes=indexes)
                 try:
                     for subscription in subscriptions:
@@ -617,7 +608,7 @@ def run_shard_sweep(
                         and sharded.match_batch(probe) != expected
                     ):
                         raise AssertionError(
-                            f"{sharded.name} ({executor}) disagrees with the "
+                            f"{sharded.name} ({partitioner}) disagrees with the "
                             f"unsharded {spec.name} engine"
                         )
                     curve.append(
@@ -625,7 +616,6 @@ def run_shard_sweep(
                             spec.name,
                             sharded,
                             shard_count,
-                            executor,
                             partitioner,
                             speedup_base=baseline.events_per_second,
                         )

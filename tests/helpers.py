@@ -13,9 +13,9 @@ spec-driven construction for every engine.
 
 Setting ``REPRO_SHARDS`` to an integer additionally wraps every engine
 under test (never the oracle) in a
-:class:`~repro.core.sharded.ShardedEngine` with that many shards and the
-serial executor — the CI sharded leg runs the same suites through the
-sharded runtime this way, deterministic by construction.
+:class:`~repro.core.sharded.ShardedEngine` with that many shards — the
+CI sharded leg runs the same suites through the sharded runtime this
+way.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ SELECTED_ENGINE = (
     else None
 )
 
-#: Shard count for the CI sharded leg (serial executor), or None.
+#: Shard count for the CI sharded leg, or None.
 SELECTED_SHARDS = (
     int(os.environ["REPRO_SHARDS"])
     if os.environ.get("REPRO_SHARDS")
@@ -53,7 +53,7 @@ def _maybe_sharded(spec: EngineSpec) -> EngineSpec:
     """Wrap a spec in the sharded runtime when REPRO_SHARDS is set."""
     if SELECTED_SHARDS is None:
         return spec
-    return spec.with_options(shards=SELECTED_SHARDS, executor="serial")
+    return spec.with_options(shards=SELECTED_SHARDS)
 
 
 def _spec_options(name, *, complement_operators=False):

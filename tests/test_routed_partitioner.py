@@ -10,16 +10,12 @@ The contract under test, layer by layer:
   shards that cannot contain a match);
 * the routed configuration returns exactly the unsharded match sets —
   for all six registry engines, per event and per batch, under
-  batch-flushed churn that forces a rebalance round, across the serial
-  and process executors (a migration must reach fork workers through
-  the notify protocol);
+  batch-flushed churn that forces a rebalance round;
 * bookkeeping: pruning counters, spec round-trips, and the routing
-  digest's memory charge.
+  digest's memory charge, which churn must release in full.
 """
 
 from __future__ import annotations
-
-import multiprocessing
 
 import pytest
 from hypothesis import given, settings
@@ -39,8 +35,6 @@ from repro.core.sharded import HashPartitioner
 from repro.events import Event
 from repro.workloads import ChurnScenario, SkewedHotKeyScenario
 
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
-
 #: Canonical engine name -> inner-spec options making it churn-capable.
 ENGINE_OPTIONS = {
     "noncanonical": {},
@@ -52,7 +46,6 @@ ENGINE_OPTIONS = {
 }
 
 ALL_ENGINES = tuple(ENGINE_OPTIONS)
-EXECUTORS = ("serial", "process")
 PARTITIONERS = ("hash", "routed")
 
 
@@ -215,24 +208,20 @@ def test_routed_parity_on_random_corpora(engine_name, seed):
         plain.close()
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("engine_name", ALL_ENGINES)
-def test_routed_parity_under_churn_with_rebalance(engine_name, executor):
+def test_routed_parity_under_churn_with_rebalance(engine_name):
     """Batch-flushed churn through a rebalance-happy routed engine.
 
     ``imbalance_factor=1.0`` makes every post-churn imbalance actionable,
     so the run includes real migrations — whose register/unregister pairs
-    must reach live executor workers (the process leg forks them mid-run)
-    without perturbing a single match set.
+    must move subscriptions between shards without perturbing a single
+    match set.
     """
-    if executor == "process" and not HAS_FORK:
-        pytest.skip("process executor needs the fork start method")
     ops = list(ChurnScenario(seed=13, warmup_subscriptions=12).ops(90))
     plain = inner_spec(engine_name).build()
     with ShardedEngine(
         inner_spec(engine_name),
         shards=3,
-        executor=executor,
         partitioner=RoutedPartitioner(imbalance_factor=1.0),
     ) as engine:
 
@@ -345,6 +334,20 @@ def test_routing_digest_is_charged_to_memory():
         routed.stats()["memory_bytes"]
         == sum(routed.memory_breakdown().values())
     )
+
+
+def test_routing_digest_is_released_under_churn():
+    """Value homes are held only while a live group anchors at the value:
+    full subscribe/unsubscribe churn leaves no routing state behind."""
+    with ShardedEngine("noncanonical", shards=4, partitioner="routed") as engine:
+        for sid in range(1, 1001):
+            engine.register(subscription(sid, f"k = {sid} and v > 3"))
+        assert engine.memory_breakdown()["shard_router"] > 0
+        for sid in range(1, 1001):
+            engine.unregister(sid)
+        assert engine.subscription_count == 0
+        assert engine.memory_breakdown()["shard_router"] == 0
+        assert engine.partitioner._value_homes == {}
 
 
 def test_rebalance_validation():

@@ -1,17 +1,14 @@
-"""Sharded runtime: parity with unsharded engines across all executors.
+"""Sharded runtime: parity with unsharded engines for every engine.
 
 The contract under test: a :class:`~repro.core.sharded.ShardedEngine`
 over any inner engine spec returns **exactly** the match sets of the
 unsharded engine — on the agreement corpus, per event and per batch,
-under interleaved subscribe/unsubscribe churn, and for the serial and
-process executor strategies.  Plus the partitioner, spec
-round-trips, the introspection surface, and the broker/network
-reporting built on it.
+and under interleaved subscribe/unsubscribe churn.  Plus the
+partitioner, spec round-trips, the introspection surface, and the
+broker/network reporting built on it.
 """
 
 from __future__ import annotations
-
-import multiprocessing
 
 import pytest
 
@@ -23,18 +20,12 @@ from repro import (
     SimulatedMachine,
     UnsupportedSubscriptionError,
     build_engine,
-    executor_names,
-    make_executor,
-    register_executor,
     shard_index,
     spec_of,
 )
-from repro.core.sharded import SerialExecutor
 from repro.indexes import IndexManager
 from repro.predicates import PredicateRegistry
 from repro.workloads import ChurnScenario, SkewedHotKeyScenario
-
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 #: Canonical engine name -> inner-spec options making it churn-capable.
 ENGINE_OPTIONS = {
@@ -47,25 +38,14 @@ ENGINE_OPTIONS = {
 }
 
 ALL_ENGINES = tuple(ENGINE_OPTIONS)
-EXECUTORS = ("serial", "process")
 
 
 def inner_spec(engine_name: str) -> EngineSpec:
     return EngineSpec(engine_name, ENGINE_OPTIONS[engine_name])
 
 
-def sharded(engine_name: str, *, shards: int = 4, executor: str = "serial",
-            **kwargs) -> ShardedEngine:
-    return ShardedEngine(
-        inner_spec(engine_name), shards=shards, executor=executor, **kwargs
-    )
-
-
-def needs_fork(executor: str):
-    return pytest.mark.skipif(
-        executor == "process" and not HAS_FORK,
-        reason="process executor needs the fork start method",
-    )
+def sharded(engine_name: str) -> ShardedEngine:
+    return ShardedEngine(inner_spec(engine_name), shards=4)
 
 
 @pytest.fixture(scope="module")
@@ -100,19 +80,16 @@ def test_partitioner_rejects_nonpositive_shard_count():
 
 
 # ----------------------------------------------------------------------
-# parity on the agreement corpus — all engines, all executors
+# parity on the agreement corpus — all engines
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("engine_name", ALL_ENGINES)
-def test_sharded_parity_on_corpus(engine_name, executor, corpus):
-    if executor == "process" and not HAS_FORK:
-        pytest.skip("process executor needs the fork start method")
+def test_sharded_parity_on_corpus(engine_name, corpus):
     subscriptions, events = corpus
     plain = inner_spec(engine_name).build()
     for subscription in subscriptions:
         plain.register(subscription)
     expected_batch = plain.match_batch(events)
-    with sharded(engine_name, executor=executor) as engine:
+    with sharded(engine_name) as engine:
         for subscription in subscriptions:
             engine.register(subscription)
         assert engine.subscription_ids() == plain.subscription_ids()
@@ -126,20 +103,16 @@ def test_sharded_parity_on_corpus(engine_name, executor, corpus):
             assert engine.match(event) == plain.match(event)
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("engine_name", ALL_ENGINES)
-def test_sharded_parity_under_churn(engine_name, executor, corpus):
+def test_sharded_parity_under_churn(engine_name, corpus):
     """Interleaved subscribe/unsubscribe/publish, matched in batches.
 
     Publishes are flushed through ``match_batch`` every few operations,
-    so the process executor's workers are live *during* the churn and
-    must stay current through forwarded register/unregister commands.
+    so every batch sees shards that the churn before it has changed.
     """
-    if executor == "process" and not HAS_FORK:
-        pytest.skip("process executor needs the fork start method")
     ops = list(ChurnScenario(seed=29, warmup_subscriptions=12).ops(90))
     plain = inner_spec(engine_name).build()
-    with sharded(engine_name, executor=executor) as engine:
+    with sharded(engine_name) as engine:
 
         def drive(target) -> list[list[set[int]]]:
             trace, pending = [], []
@@ -227,55 +200,66 @@ def test_shard_slices_partition_the_population(corpus):
     engine = ShardedEngine("noncanonical", shards=4)
     for subscription in subscriptions:
         engine.register(subscription)
-    slices = engine.shard_subscription_slices()
+    slices = [shard.subscription_ids() for shard in engine.shards]
     assert len(slices) == 4
-    ids = [s.subscription_id for shard_slice in slices for s in shard_slice]
+    ids = [sid for shard_slice in slices for sid in shard_slice]
     assert len(ids) == len(set(ids)) == len(subscriptions)
+    assert set(ids) == engine.subscription_ids()
     for index, shard_slice in enumerate(slices):
-        for subscription in shard_slice:
-            assert engine.shard_of(subscription.subscription_id) == index
+        for sid in shard_slice:
+            assert engine.shard_of(sid) == index
 
 
 # ----------------------------------------------------------------------
-# specs, registry round-trips, executor registry
+# specs and registry round-trips
 # ----------------------------------------------------------------------
 def test_spec_shorthand_and_roundtrip():
     assert EngineSpec("noncanonical×4") == EngineSpec(
         "noncanonical", {"shards": 4}
     )
     assert EngineSpec("non-canonical x 2").options["shards"] == 2
-    engine = build_engine("counting-variant×3", executor="process")
+    engine = build_engine("counting-variant×3", partitioner="routed")
     assert isinstance(engine, ShardedEngine)
     assert engine.shard_count == 3
-    assert engine.executor_name == "process"
+    assert engine.partitioner_name == "routed"
     spec = spec_of(engine)
-    assert spec.name == "counting-variant"
-    assert spec.options["shards"] == 3
+    assert spec == EngineSpec(
+        "counting-variant", {"shards": 3, "partitioner": "routed"}
+    )
     rebuilt = spec.build()
     assert isinstance(rebuilt, ShardedEngine)
     assert rebuilt.shard_count == 3
-    assert rebuilt.executor_name == "process"
+    assert rebuilt.partitioner_name == "routed"
+    assert spec_of(rebuilt) == spec
 
 
 def test_spec_validation_errors():
     with pytest.raises(ValueError):
         EngineSpec("noncanonical×4", {"shards": 2})  # contradictory
     with pytest.raises(ValueError):
-        build_engine("noncanonical", executor="process")  # executor w/o shards
+        build_engine("noncanonical", executor="serial")  # executor w/o shards
     with pytest.raises(ValueError):
         ShardedEngine(EngineSpec("noncanonical", {"shards": 2}), shards=2)
     with pytest.raises(ValueError):
         ShardedEngine("noncanonical", shards=0)
     with pytest.raises(ValueError):
-        ShardedEngine("noncanonical", shards=2, executor="warp-drive")
+        ShardedEngine("noncanonical", shards=2, partitioner="warp-drive")
+    with pytest.raises(TypeError):
+        ShardedEngine("noncanonical", shards=2, executor="serial")
 
 
-def test_executor_registry():
-    assert set(executor_names()) >= {"serial", "process"}
-    instance = SerialExecutor()
-    assert make_executor(instance) is instance
-    with pytest.raises(ValueError):
-        register_executor("serial", SerialExecutor)
+def test_serial_executor_spec_builds_and_process_is_rejected():
+    """``executor`` survives in specs only as the in-process ``"serial"``."""
+    spec = EngineSpec(
+        "noncanonical", {"shards": 8, "partitioner": "routed", "executor": "serial"}
+    )
+    engine = spec.build()
+    assert isinstance(engine, ShardedEngine)
+    assert engine.shard_count == 8
+    assert engine.partitioner_name == "routed"
+    assert "executor" not in spec_of(engine).options
+    with pytest.raises(ValueError, match="in-process"):
+        build_engine("noncanonical", shards=4, executor="process")
 
 
 def test_inner_options_flow_to_shards():
@@ -294,7 +278,8 @@ def test_stats_surface(corpus):
         engine.register(subscription)
     stats = engine.stats()
     assert stats["shards"] == 4
-    assert stats["executor"] == "serial"
+    assert stats["partitioner"] == "hash"
+    assert "executor" not in stats
     assert stats["subscriptions"] == len(subscriptions)
     per_shard = engine.shard_stats()
     assert [entry["shard"] for entry in per_shard] == [0, 1, 2, 3]
@@ -367,28 +352,3 @@ def test_network_with_sharded_brokers():
         assert {n.subscription_id for n in deliveries} == solo.engine.match(
             event
         )
-
-
-# ----------------------------------------------------------------------
-# process executor specifics
-# ----------------------------------------------------------------------
-@pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
-def test_process_executor_lazy_start_and_close(corpus):
-    subscriptions, events = corpus
-    engine = sharded("noncanonical", executor="process")
-    executor = engine._executor
-    for subscription in subscriptions[:16]:
-        engine.register(subscription)
-    assert not executor._started  # registration alone must not fork
-    first = engine.match_batch(events[:8])
-    assert executor._started
-    assert len(executor._processes) == 4
-    # phase-2-only calls run in-process and still agree
-    fulfilled = engine.indexes.match(events[0])
-    assert engine.match_fulfilled(fulfilled) == first[0]
-    engine.close()
-    assert not executor._started
-    assert executor._processes == []
-    # a fresh batch after close restarts the workers from current state
-    assert engine.match_batch(events[:8]) == first
-    engine.close()
