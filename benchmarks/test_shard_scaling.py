@@ -1,9 +1,9 @@
 """Shard-scaling curves: throughput versus shard count per engine.
 
-The measurements come from the harness's shard sweep
-(:func:`~repro.experiments.harness.run_shard_sweep`) and, for the
-interleaved routed-versus-unsharded check, from engines timed here
-directly; every pass/fail number is a constant in this module.  Shards
+The curves come from the harness's shard sweep
+(:func:`~repro.experiments.harness.run_shard_sweep`); the two ratio
+checks time engines here directly; every pass/fail number is a
+constant in this module.  Shards
 run in-process, one after another, so sharding buys speed only by
 pruning shards.  Three properties are asserted:
 
@@ -18,10 +18,10 @@ pruning shards.  Three properties are asserted:
   (:data:`ROUTED_SERIAL_MIN_SPEEDUP`), with ``shards_pruned`` counters
   confirming the speedup came from pruning, not noise.
 
-The routed speedup check asserts from interleaved repeated samples
-(:func:`interleaved_seconds`): every round times each configuration
-once, back to back, in an order that rotates between rounds, and the
-assertion reads the median of the per-round ratios.  A
+The overhead and routed speedup checks assert from interleaved repeated
+samples (:func:`interleaved_seconds`): every round times each
+configuration once, back to back, in an order that rotates between
+rounds, and the assertion reads the median of the per-round ratios.  A
 measure-baseline-first protocol systematically flatters the baseline on
 CI runners whose clock boost decays over the run, and a single sample
 per configuration lets one slow moment decide the outcome.
@@ -36,10 +36,12 @@ import statistics
 import time
 from typing import Callable
 
+from repro.core.base import FilterEngine
 from repro.core.registry import build_engine
 from repro.experiments.harness import run_shard_sweep
 from repro.indexes.manager import IndexManager
 from repro.predicates.registry import PredicateRegistry
+from repro.workloads.generator import EventGenerator, PaperSubscriptionGenerator
 from repro.workloads.scenarios import SkewedHotKeyScenario
 
 #: Sharding without pruning pays union/dispatch overhead only: the
@@ -98,6 +100,25 @@ def median_ratio(slower: list[float], faster: list[float]) -> float:
     return statistics.median(a / b for a, b in zip(slower, faster))
 
 
+def noncanonical_on_shared_state(
+    subscriptions, **configs: dict
+) -> dict[str, FilterEngine]:
+    """One noncanonical engine per named option set, all sharing one
+    phase-1 state and each holding every subscription."""
+    registry = PredicateRegistry()
+    indexes = IndexManager()
+    engines = {
+        name: build_engine(
+            "noncanonical", registry=registry, indexes=indexes, **options
+        )
+        for name, options in configs.items()
+    }
+    for engine in engines.values():
+        for subscription in subscriptions:
+            engine.register(subscription)
+    return engines
+
+
 def test_runner_shard_phase_produces_curves():
     """Every engine gets a 1/2/4-shard curve with a speedup relative to
     its own unsharded baseline."""
@@ -121,33 +142,47 @@ def test_runner_shard_phase_produces_curves():
 def test_serial_sharding_overhead_is_bounded(benchmark):
     """Partitioning without pruning costs union/dispatch overhead
     only — the 4-shard hash configuration must keep at least
-    ``SERIAL_4SHARD_MIN_RATIO`` of the unsharded throughput."""
-    results = run_shard_sweep(
-        subscription_count=300,
-        event_count=256,
-        shard_counts=(1, 4),
-        engines=("noncanonical",),
-        repeats=3,
+    ``SERIAL_4SHARD_MIN_RATIO`` of the unsharded throughput.
+
+    The unsharded engine and hash×4 share one phase-1 state and match
+    the same 300-subscription paper corpus as one 256-event batch,
+    timed in :func:`interleaved_seconds` rounds; the ratio is the
+    median of the per-round ratios.
+    """
+    subscriptions = PaperSubscriptionGenerator(
+        predicates_per_subscription=6, attribute_pool=64, seed=0
+    ).subscriptions(300)
+    events = EventGenerator(
+        attribute_pool=64,
+        attributes_per_event=16,
+        value_range=64,
+        skew=1.1,
+        seed=1,
+    ).events(256)
+    engines = noncanonical_on_shared_state(
+        subscriptions, unsharded={}, hash={"shards": 4}
     )
-    curve = results["noncanonical"]
-    four = next(point for point in curve if point.shards == 4)
+    assert engines["hash"].match_batch(events) == engines[
+        "unsharded"
+    ].match_batch(events)
+
+    seconds = interleaved_seconds(
+        {
+            name: lambda engine=engine: engine.match_batch(events)
+            for name, engine in engines.items()
+        }
+    )
+    ratio = median_ratio(seconds["unsharded"], seconds["hash"])
     benchmark.extra_info.update(
-        serial_speedup_4_shards=round(four.speedup, 3),
-        baseline_events_per_second=round(curve[0].events_per_second),
+        serial_speedup_4_shards=round(ratio, 3),
+        baseline_events_per_second=round(
+            len(events) / statistics.median(seconds["unsharded"])
+        ),
     )
 
-    def run():
-        run_shard_sweep(
-            subscription_count=60,
-            event_count=64,
-            shard_counts=(1, 2),
-            engines=("noncanonical",),
-            repeats=1,
-        )
-
-    benchmark(run)
-    assert four.speedup > SERIAL_4SHARD_MIN_RATIO, (
-        f"hash 4-shard throughput collapsed to {four.speedup:.2f}x of "
+    benchmark(engines["hash"].match_batch, events[:64])
+    assert ratio > SERIAL_4SHARD_MIN_RATIO, (
+        f"hash 4-shard throughput collapsed to {ratio:.2f}x of "
         "the unsharded baseline"
     )
 
@@ -189,29 +224,12 @@ def test_routed_partitioner_beats_hash_and_unsharded(benchmark):
     scenario = SkewedHotKeyScenario(seed=7)
     subscriptions = scenario.subscriptions(1200)
     events = scenario.events(200)
-    registry = PredicateRegistry()
-    indexes = IndexManager()
-    engines = {
-        "unsharded": build_engine(
-            "noncanonical", registry=registry, indexes=indexes
-        ),
-        "hash": build_engine(
-            "noncanonical",
-            shards=8,
-            registry=registry,
-            indexes=indexes,
-        ),
-        "routed": build_engine(
-            "noncanonical",
-            shards=8,
-            partitioner="routed",
-            registry=registry,
-            indexes=indexes,
-        ),
-    }
-    for engine in engines.values():
-        for subscription in subscriptions:
-            engine.register(subscription)
+    engines = noncanonical_on_shared_state(
+        subscriptions,
+        unsharded={},
+        hash={"shards": 8},
+        routed={"shards": 8, "partitioner": "routed"},
+    )
     assert engines["routed"].match_batch(events[:32]) == engines[
         "unsharded"
     ].match_batch(events[:32])

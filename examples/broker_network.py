@@ -7,8 +7,8 @@ engine spec, subscribers hang collecting sinks off their handles — and
 streams an auction feed in at one leaf through the batched overlay
 pipeline.  Events travel only along branches with matching downstream
 subscriptions; every broker filters with its own non-canonical engine,
-and each models a small machine so the per-broker memory pressure is
-visible.
+and each runs on a small simulated machine: its memory pressure is the
+engine's working set plus its routing table over the machine's budget.
 
 Covering-based routing-table compaction is on by default: a broker
 skips registering a subscription when a same-direction one already
@@ -39,7 +39,7 @@ def main() -> None:
     scenario = AuctionScenario(seed=7)
     network = BrokerNetwork()
     for name in ("geneva", "tokyo", "nairobi", "lima", "cusco"):
-        network.add_broker(name, engine="noncanonical", machine=LAPTOP)
+        network.add_broker(name, engine="noncanonical")
     for edge in (("geneva", "tokyo"), ("geneva", "nairobi"),
                  ("geneva", "lima"), ("lima", "cusco")):
         network.connect(*edge)
@@ -79,8 +79,11 @@ def main() -> None:
 
     print("\nper-broker state:")
     for broker in network.brokers():
-        pressure = broker.memory_pressure()
-        table = network.routing_report()[broker.name]
+        routing = network.routing_table(broker.name)
+        table = routing.stats()
+        pressure = (
+            broker.engine.memory_bytes() + routing.memory_bytes()
+        ) / LAPTOP.available_bytes
         print(
             f"  {broker.name:<8} subscriptions={broker.subscription_count:<3} "
             f"routing_table={table.entries:>2} entries "

@@ -34,14 +34,14 @@ def main() -> None:
         broker.subscribe(subscription)
     print(
         f"{SUBSCRIBERS} subscribers registered on {broker.name!r} "
-        f"({broker.engine.name}, partitioner={broker.engine.partitioner_name})"
+        f"({broker.engine.name}, partitioner={broker.engine.partitioner.name})"
     )
 
     print("per-shard stats (hot keys, yet an even partition):")
-    for entry in broker.shard_stats():
+    for index, shard in enumerate(broker.engine.shards):
         print(
-            f"  shard {entry['shard']}: {entry['subscriptions']:4d} "
-            f"subscriptions, {entry['memory_bytes']:,} B"
+            f"  shard {index}: {shard.subscription_count:4d} "
+            f"subscriptions, {shard.memory_bytes():,} B"
         )
 
     events = scenario.events(EVENTS)

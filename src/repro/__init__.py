@@ -73,7 +73,6 @@ from .core import (
     make_partitioner,
     partitioner_names,
     popcount,
-    register_engine,
     resolve_engine,
     shard_index,
     spec_of,
@@ -125,7 +124,6 @@ __all__ = [
     "build_engine",
     "canonical_engine_name",
     "engine_names",
-    "register_engine",
     "resolve_engine",
     "spec_of",
     "ShardedEngine",

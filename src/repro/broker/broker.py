@@ -3,10 +3,9 @@
 A broker owns a matching engine (pluggable — an instance, an
 :class:`~repro.core.registry.EngineSpec`, or a registry name), accepts
 subscriptions and publications, delivers notifications through
-:mod:`delivery sinks <repro.broker.sinks>`, validates events against an
-optional schema, and models the machine it runs on (paper §1 motivates
-filtering on "laptops and mobile devices" rather than designated
-servers).
+:mod:`delivery sinks <repro.broker.sinks>`, and validates events against
+an optional schema.  Its lifetime counters are the :attr:`Broker.stats`
+field; the engine's own report is ``broker.engine.stats()``.
 
 The public surface:
 
@@ -30,7 +29,6 @@ from ..core.base import FilterEngine
 from ..core.registry import EngineSpec, resolve_engine
 from ..events.event import Event
 from ..events.schema import EventSchema
-from ..memory.model import SimulatedMachine
 from ..subscriptions.subscription import Subscription
 from .handle import SubscriptionHandle
 from .sinks import DeliverySink, as_sink
@@ -163,10 +161,6 @@ class Broker:
         non-canonical engine.
     schema:
         Optional event schema enforced at the publish boundary.
-    machine:
-        Optional simulated machine; when set,
-        :meth:`memory_pressure` reports how close the engine's working
-        set is to the machine's budget.
     """
 
     def __init__(
@@ -175,14 +169,12 @@ class Broker:
         *,
         engine: FilterEngine | EngineSpec | str | None = None,
         schema: EventSchema | None = None,
-        machine: SimulatedMachine | None = None,
     ) -> None:
         if not name:
             raise ValueError("broker name must be non-empty")
         self.name = name
         self.engine = resolve_engine(engine)
         self.schema = schema
-        self.machine = machine
         self.stats = BrokerStats()
         self._handles: dict[int, SubscriptionHandle] = {}
 
@@ -373,39 +365,11 @@ class Broker:
         return notification
 
     # ------------------------------------------------------------------
-    # resource model / maintenance
+    # maintenance
     # ------------------------------------------------------------------
     def reset_stats(self) -> None:
         """Zero the lifetime counters; live subscriptions are untouched."""
         self.stats = BrokerStats()
-
-    def memory_pressure(self) -> float:
-        """Engine working set as a fraction of the machine budget.
-
-        Returns 0.0 when no machine model is attached; values above 1.0
-        mean the simulated machine would be swapping.  For a sharded
-        engine this is the *aggregated* pressure — the engine's memory
-        accounting sums its shards.
-        """
-        if self.machine is None:
-            return 0.0
-        return self.engine.memory_bytes() / self.machine.available_bytes
-
-    def engine_stats(self) -> dict:
-        """The engine's counters as plain data (name, counts, memory)."""
-        return self.engine.stats()
-
-    def shard_stats(self) -> list[dict]:
-        """Per-shard stats of the broker's engine.
-
-        One entry per shard for a sharded engine; a single entry (the
-        whole engine) otherwise, so monitoring code can treat every
-        broker uniformly.
-        """
-        per_shard = getattr(self.engine, "shard_stats", None)
-        if per_shard is not None:
-            return per_shard()
-        return [self.engine.stats()]
 
     def __repr__(self) -> str:
         return (

@@ -22,8 +22,8 @@ Topology and routing follow the classical acyclic-overlay design
 
 Every broker filters with its *own* engine over the routed subscription
 set, which is exactly the situation whose memory ceiling the paper
-analyses — :meth:`BrokerNetwork.memory_report` surfaces it, including
-the routing tables themselves.
+analyses — ``network.broker(name).engine.memory_bytes()`` plus
+``network.routing_table(name).memory_bytes()`` is one broker's share.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from ..core.base import FilterEngine
 from ..core.registry import EngineSpec
 from ..events.event import Event
 from ..events.schema import EventSchema
-from ..memory.model import SimulatedMachine
 from ..subscriptions.subscription import Subscription
 from .broker import (
     Broker,
@@ -46,7 +45,7 @@ from .broker import (
     stream_events,
 )
 from .handle import SubscriptionHandle
-from .routing import RoutingTable, RoutingTableStats
+from .routing import RoutingTable
 from .sinks import DeliverySink
 
 
@@ -128,7 +127,6 @@ class BrokerNetwork:
         *,
         engine: FilterEngine | EngineSpec | str | None = None,
         schema: EventSchema | None = None,
-        machine: SimulatedMachine | None = None,
     ) -> Broker:
         """Add a broker node (initially disconnected).
 
@@ -139,13 +137,10 @@ class BrokerNetwork:
         described declaratively.
         """
         if isinstance(broker, str):
-            broker = Broker(
-                broker, engine=engine, schema=schema, machine=machine
-            )
-        elif engine is not None or schema is not None or machine is not None:
+            broker = Broker(broker, engine=engine, schema=schema)
+        elif engine is not None or schema is not None:
             raise TypeError(
-                "engine/schema/machine apply only when adding a broker "
-                "by name"
+                "engine/schema apply only when adding a broker by name"
             )
         if broker.name in self._brokers:
             raise TopologyError(f"broker {broker.name!r} already present")
@@ -374,27 +369,8 @@ class BrokerNetwork:
         return deliveries
 
     # ------------------------------------------------------------------
-    # resource reporting
+    # reporting
     # ------------------------------------------------------------------
-    def memory_report(self) -> dict[str, dict[str, int]]:
-        """Per-broker memory breakdowns (paper cost model).
-
-        Engine components plus the broker's routing table, so the
-        overlay's full working set is visible in one report.
-        """
-        report = {}
-        for name, broker in self._brokers.items():
-            breakdown = dict(broker.engine.memory_breakdown())
-            breakdown["routing_table"] = self._routing[name].memory_bytes()
-            report[name] = breakdown
-        return report
-
-    def routing_report(self) -> dict[str, RoutingTableStats]:
-        """Per-broker routing-table shapes (entries, suppression)."""
-        return {
-            name: table.stats() for name, table in self._routing.items()
-        }
-
     def suppression_ratio(self) -> float:
         """Fraction of remote routing-table entries currently suppressed.
 
@@ -412,36 +388,6 @@ class BrokerNetwork:
         if not remote:
             return 0.0
         return suppressed / remote
-
-    def shard_report(self) -> dict[str, list[dict]]:
-        """Per-broker, per-shard engine stats.
-
-        Sharded brokers contribute one entry per shard, unsharded
-        brokers a single entry — see :meth:`Broker.shard_stats`.
-        """
-        return {
-            name: broker.shard_stats()
-            for name, broker in self._brokers.items()
-        }
-
-    def memory_pressure(self) -> dict[str, float]:
-        """Per-broker aggregated memory pressure (0.0 without a machine
-        model; sharded engines report the sum of their shards).
-
-        Includes the broker's routing table in the working set — the
-        overlay's own state competes for the same memory budget the
-        paper's cost model covers.
-        """
-        pressure = {}
-        for name, broker in self._brokers.items():
-            if broker.machine is None:
-                pressure[name] = 0.0
-            else:
-                pressure[name] = broker.memory_pressure() + (
-                    self._routing[name].memory_bytes()
-                    / broker.machine.available_bytes
-                )
-        return pressure
 
     def __len__(self) -> int:
         return len(self._brokers)

@@ -24,7 +24,6 @@ from .registry import (
     canonical_engine_name,
     engine_catalog,
     engine_names,
-    register_engine,
     resolve_engine,
     spec_of,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "canonical_engine_name",
     "engine_catalog",
     "engine_names",
-    "register_engine",
     "resolve_engine",
     "spec_of",
     "ShardedEngine",

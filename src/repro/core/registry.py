@@ -38,12 +38,55 @@ from .paged import DiskTreeStore, PagedNonCanonicalEngine
 
 EngineFactory = Callable[..., FilterEngine]
 
+
+def _build_paged(
+    *,
+    registry: PredicateRegistry | None = None,
+    indexes: IndexManager | None = None,
+    store: DiskTreeStore | None = None,
+    path: str | None = None,
+    page_size: int | None = None,
+    cache_pages: int | None = None,
+    **options: Any,
+) -> PagedNonCanonicalEngine:
+    """Paged-engine factory: store options spell out the disk store."""
+    if store is None and (path, page_size, cache_pages) != (None, None, None):
+        store_options: dict[str, Any] = {}
+        if page_size is not None:
+            store_options["page_size"] = page_size
+        if cache_pages is not None:
+            store_options["cache_pages"] = cache_pages
+        store = DiskTreeStore(path, **store_options)
+    return PagedNonCanonicalEngine(
+        store=store, registry=registry, indexes=indexes, **options
+    )
+
+
 #: canonical name -> factory(**options, registry=..., indexes=...)
-_FACTORIES: dict[str, EngineFactory] = {}
+_FACTORIES: dict[str, EngineFactory] = {
+    "noncanonical": NonCanonicalEngine,
+    "counting": CountingEngine,
+    "counting-variant": CountingVariantEngine,
+    "matching-tree": MatchingTreeEngine,
+    "bruteforce": BruteForceEngine,
+    "paged": _build_paged,
+}
 #: alias (including the canonical name itself) -> canonical name
-_ALIASES: dict[str, str] = {}
+_ALIASES: dict[str, str] = {
+    **{name: name for name in _FACTORIES},
+    "non-canonical": "noncanonical",
+    "brute-force": "bruteforce",
+    "non-canonical-paged": "paged",
+}
 #: concrete engine class -> canonical name (for :func:`spec_of`)
-_CLASSES: dict[type, str] = {}
+_CLASSES: dict[type, str] = {
+    NonCanonicalEngine: "noncanonical",
+    CountingEngine: "counting",
+    CountingVariantEngine: "counting-variant",
+    MatchingTreeEngine: "matching-tree",
+    BruteForceEngine: "bruteforce",
+    PagedNonCanonicalEngine: "paged",
+}
 
 
 class UnknownEngineError(KeyError):
@@ -51,7 +94,7 @@ class UnknownEngineError(KeyError):
 
     def __init__(self, name: str) -> None:
         super().__init__(
-            f"unknown engine {name!r}; registered engines: "
+            f"unknown engine {name!r}; engines: "
             f"{', '.join(engine_names())}"
         )
         self.name = name
@@ -66,45 +109,8 @@ def canonical_engine_name(name: str) -> str:
 
 
 def engine_names() -> tuple[str, ...]:
-    """The canonical engine names, in registration order."""
+    """The canonical engine names, in table order."""
     return tuple(_FACTORIES)
-
-
-def register_engine(
-    name: str,
-    factory: EngineFactory,
-    *,
-    engine_class: type | None = None,
-    aliases: tuple[str, ...] = (),
-    override: bool = False,
-) -> None:
-    """Add an engine under ``name`` (plus optional aliases).
-
-    ``factory`` must accept keyword ``registry`` and ``indexes`` (shared
-    phase-1 state) plus any engine-specific options.  ``engine_class``,
-    when given, lets :func:`spec_of` map instances back to ``name``.
-    Re-registering an existing name (or alias) is an error unless
-    ``override=True`` — silently displacing an engine would corrupt
-    every spec naming it.
-    """
-    if not name:
-        raise ValueError("engine name must be non-empty")
-    if name in _ALIASES and _ALIASES[name] != name:
-        raise ValueError(f"{name!r} is already an alias of {_ALIASES[name]!r}")
-    if name in _FACTORIES and not override:
-        raise ValueError(
-            f"engine {name!r} is already registered; pass override=True "
-            "to replace it"
-        )
-    _FACTORIES[name] = factory
-    _ALIASES[name] = name
-    for alias in aliases:
-        existing = _ALIASES.get(alias)
-        if existing is not None and existing != name:
-            raise ValueError(f"alias {alias!r} already maps to {existing!r}")
-        _ALIASES[alias] = name
-    if engine_class is not None:
-        _CLASSES[engine_class] = name
 
 
 #: ``"name×4"`` / ``"name x4"`` — the sharded-spec name shorthand.
@@ -256,8 +262,8 @@ def resolve_engine(
 def engine_catalog() -> dict[str, type]:
     """Engine display name -> engine class, derived from the registry.
 
-    The single source of truth behind ``repro.core.ENGINES``; includes
-    every engine registered with an ``engine_class``.
+    The single source of truth behind ``repro.core.ENGINES``; one entry
+    per registry engine.
     """
     return {cls.name: cls for cls in _CLASSES}
 
@@ -276,8 +282,8 @@ def spec_of(engine: FilterEngine) -> EngineSpec:
 
     if isinstance(engine, ShardedEngine):
         options: dict[str, Any] = {"shards": engine.shard_count}
-        if engine.partitioner_name != "hash":
-            options["partitioner"] = engine.partitioner_name
+        if engine.partitioner.name != "hash":
+            options["partitioner"] = engine.partitioner.name
         return EngineSpec(engine.spec.name, options)
     name = _CLASSES.get(type(engine))
     if name is None:
@@ -285,61 +291,3 @@ def spec_of(engine: FilterEngine) -> EngineSpec:
     if name is None:
         raise UnknownEngineError(engine.name)
     return EngineSpec(name)
-
-
-def _build_paged(
-    *,
-    registry: PredicateRegistry | None = None,
-    indexes: IndexManager | None = None,
-    store: DiskTreeStore | None = None,
-    path: str | None = None,
-    page_size: int | None = None,
-    cache_pages: int | None = None,
-    **options: Any,
-) -> PagedNonCanonicalEngine:
-    """Paged-engine factory: store options spell out the disk store."""
-    if store is None and (path, page_size, cache_pages) != (None, None, None):
-        store_options: dict[str, Any] = {}
-        if page_size is not None:
-            store_options["page_size"] = page_size
-        if cache_pages is not None:
-            store_options["cache_pages"] = cache_pages
-        store = DiskTreeStore(path, **store_options)
-    return PagedNonCanonicalEngine(
-        store=store, registry=registry, indexes=indexes, **options
-    )
-
-
-register_engine(
-    "noncanonical",
-    NonCanonicalEngine,
-    engine_class=NonCanonicalEngine,
-    aliases=("non-canonical",),
-)
-register_engine(
-    "counting",
-    CountingEngine,
-    engine_class=CountingEngine,
-)
-register_engine(
-    "counting-variant",
-    CountingVariantEngine,
-    engine_class=CountingVariantEngine,
-)
-register_engine(
-    "matching-tree",
-    MatchingTreeEngine,
-    engine_class=MatchingTreeEngine,
-)
-register_engine(
-    "bruteforce",
-    BruteForceEngine,
-    engine_class=BruteForceEngine,
-    aliases=("brute-force",),
-)
-register_engine(
-    "paged",
-    _build_paged,
-    engine_class=PagedNonCanonicalEngine,
-    aliases=("non-canonical-paged",),
-)

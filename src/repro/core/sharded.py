@@ -580,11 +580,6 @@ class ShardedEngine(FilterEngine):
     # introspection
     # ------------------------------------------------------------------
     @property
-    def partitioner_name(self) -> str:
-        """Name of the active partitioner strategy."""
-        return self._partitioner.name
-
-    @property
     def partitioner(self) -> ShardPartitioner:
         """The active partitioner strategy instance."""
         return self._partitioner
@@ -597,15 +592,6 @@ class ShardedEngine(FilterEngine):
     def shard_of(self, subscription_id: int) -> int:
         """The shard currently owning ``subscription_id``."""
         return self._partitioner.shard_of(subscription_id)
-
-    def shard_stats(self) -> list[dict]:
-        """Per-shard stats dicts (shard index added to each)."""
-        stats = []
-        for index, shard in enumerate(self._shards):
-            entry = shard.stats()
-            entry["shard"] = index
-            stats.append(entry)
-        return stats
 
     @property
     def counters(self) -> MatchCounters:
@@ -627,7 +613,7 @@ class ShardedEngine(FilterEngine):
     def stats(self) -> dict:
         entry = super().stats()
         entry["shards"] = self.shard_count
-        entry["partitioner"] = self.partitioner_name
+        entry["partitioner"] = self._partitioner.name
         return entry
 
     # ------------------------------------------------------------------
@@ -799,6 +785,6 @@ class ShardedEngine(FilterEngine):
     def __repr__(self) -> str:
         return (
             f"ShardedEngine({self.spec.name!r}, shards={self.shard_count}, "
-            f"partitioner={self.partitioner_name!r}, "
+            f"partitioner={self._partitioner.name!r}, "
             f"subscriptions={self.subscription_count})"
         )

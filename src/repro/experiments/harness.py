@@ -558,7 +558,7 @@ def run_shard_sweep(
         name,
         engine,
         shards: int,
-        partitioner_name: str,
+        placement: str,
         speedup_base=None,
     ):
         point = measure_throughput(
@@ -576,7 +576,7 @@ def run_shard_sweep(
                 if speedup_base is None
                 else point.events_per_second / speedup_base
             ),
-            partitioner=partitioner_name,
+            partitioner=placement,
             counters=point.counters,
             memory_bytes=point.memory_bytes,
         )

@@ -44,14 +44,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from .covering import _interval_contains, dnf_covers
-from .summary import (
-    ExpressionSummary as _Summary,
-    Interval,
-    _hull,
-    _intersect,
-    _pseudo_bounds,
-    summarize,
-)
+from .summary import ExpressionSummary as _Summary, Interval, summarize
 
 __all__ = [
     "AddOutcome",
@@ -175,14 +168,6 @@ class CoveringIndex:
     def ids(self) -> Iterator[int]:
         """Every live id."""
         return iter(self._summaries)
-
-    def prefilter_stats(self) -> dict[str, int]:
-        """Work counters: exact tests performed versus candidates pruned."""
-        return {
-            "covers_calls": self.covers_calls,
-            "signature_pruned": self.signature_pruned,
-            "interval_pruned": self.interval_pruned,
-        }
 
     # ------------------------------------------------------------------
     # the exact test (counted)

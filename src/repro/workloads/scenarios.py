@@ -406,7 +406,7 @@ class Topology:
     def build(self, network, **add_broker_options):
         """Add this topology's brokers and links to ``network``.
 
-        ``add_broker_options`` (``engine=``, ``schema=``, ``machine=``)
+        ``add_broker_options`` (``engine=``, ``schema=``)
         are forwarded to every
         :meth:`~repro.broker.network.BrokerNetwork.add_broker` call.
         Returns ``network`` for chaining.

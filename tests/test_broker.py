@@ -16,7 +16,6 @@ from repro.events import (
     EventSchema,
     SchemaViolationError,
 )
-from repro.memory import SimulatedMachine
 from repro.subscriptions import Subscription
 
 
@@ -128,21 +127,6 @@ class TestBrokerSchema:
         broker = Broker("edge", schema=schema)
         with pytest.raises(SchemaViolationError):
             broker.publish(Event({"volume": 5}))
-
-
-class TestBrokerMachineModel:
-    def test_memory_pressure_without_machine(self):
-        assert Broker("edge").memory_pressure() == 0.0
-
-    def test_memory_pressure_with_machine(self):
-        machine = SimulatedMachine(
-            total_memory_bytes=4096, os_reserved_bytes=0
-        )
-        broker = Broker("edge", machine=machine)
-        assert broker.memory_pressure() == 0.0
-        for index in range(40):
-            broker.subscribe(f"attr{index} = {index}")
-        assert broker.memory_pressure() > 0.0
 
 
 class TestClients:

@@ -12,7 +12,7 @@ A batch of one must stay on the per-event path: phase 1 through
 cannot move onto the batch sweep or the matrix path unnoticed.
 
 The match/probe counters every engine keeps are exposed through
-``FilterEngine.stats()`` and ``Broker.engine_stats()``, and aggregate
+``FilterEngine.stats()`` and ``broker.engine.stats()``, and aggregate
 across shards.
 """
 
@@ -179,6 +179,6 @@ class TestCounterSurface:
         broker = Broker("hub", engine="noncanonical")
         broker.subscribe("price > 10")
         broker.publish({"price": 20})
-        stats = broker.engine_stats()
+        stats = broker.engine.stats()
         assert stats["phase2_calls"] == 1
         assert stats["matches_found"] == 1

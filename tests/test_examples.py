@@ -81,7 +81,19 @@ def test_paper_experiment():
 def test_sharded_throughput():
     out = run_example("sharded_throughput.py")
     assert "600 subscribers registered" in out
+    assert "(non-canonical×4, partitioner=hash)" in out
     assert "per-shard stats" in out
-    assert out.count("shard ") >= 4
-    assert "shard-scaling sweep" in out
+    shard_lines = [
+        line.split() for line in out.splitlines()
+        if line.startswith("  shard ")
+    ]
+    assert [line[1] for line in shard_lines] == ["0:", "1:", "2:", "3:"]
+    # the per-shard populations sum to the registered subscribers
+    assert sum(int(line[2]) for line in shard_lines) == 600
+    assert "shard-scaling sweep:" in out
+    sweep = out.split("shard-scaling sweep:")[1]
+    assert "events/sec" in sweep and "speedup" in sweep
+    rows = [line.split() for line in sweep.splitlines() if line.endswith("x")]
+    assert [row[0] for row in rows] == ["1", "2", "4"]
+    assert rows[0][2] == "1.00x"
     assert "speedup is relative to the unsharded single-shard baseline" in out

@@ -275,20 +275,20 @@ class TestRoutingReports:
     def test_memory_report_includes_routing_tables(self):
         network = chain()
         network.subscribe("a", "x > 0")
-        report = network.memory_report()
         for name in "abcd":
-            assert report[name]["routing_table"] > 0
+            assert network.routing_table(name).memory_bytes() > 0
 
     def test_routing_report_shapes(self):
         network = chain()
         network.subscribe("a", "x > 0", subscriber="wide")
         network.subscribe("a", "x > 5", subscriber="narrow")
-        report = network.routing_report()
-        assert report["a"].local == 2 and report["a"].suppressed == 0
+        home = network.routing_table("a").stats()
+        assert home.local == 2 and home.suppressed == 0
         for name in "bcd":
-            assert report[name].entries == 2
-            assert report[name].registered == 1
-            assert report[name].suppressed == 1
+            shape = network.routing_table(name).stats()
+            assert shape.entries == 2
+            assert shape.registered == 1
+            assert shape.suppressed == 1
 
 
 class TestEquivalenceUnderChurn:

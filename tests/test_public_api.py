@@ -415,14 +415,6 @@ class TestDeprecatedShims:
         assert alice.subscription_ids == frozenset()
         assert alice.handles == []
 
-    def test_register_engine_rejects_name_collisions(self):
-        from repro import register_engine, build_engine
-
-        with pytest.raises(ValueError, match="already registered"):
-            register_engine("counting", lambda **kwargs: None)
-        # the paper's engine is untouched
-        assert build_engine("counting").name == "counting"
-
     def test_sweep_rejects_engine_instances(self):
         from repro.experiments import run_throughput_sweep
 

@@ -296,7 +296,7 @@ def test_broker_surfaces_pruning_counters():
     for entry in scenario.subscriptions(24):
         broker.subscribe(entry)
     broker.publish(scenario.events(16))
-    stats = broker.engine_stats()
+    stats = broker.engine.stats()
     assert stats["shards_probed"] + stats["shards_pruned"] == 4 * 16
     assert stats["shards_pruned"] > 0
 

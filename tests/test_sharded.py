@@ -17,7 +17,6 @@ from repro import (
     BrokerNetwork,
     EngineSpec,
     ShardedEngine,
-    SimulatedMachine,
     UnsupportedSubscriptionError,
     build_engine,
     shard_index,
@@ -221,7 +220,7 @@ def test_spec_shorthand_and_roundtrip():
     engine = build_engine("counting-variant×3", partitioner="routed")
     assert isinstance(engine, ShardedEngine)
     assert engine.shard_count == 3
-    assert engine.partitioner_name == "routed"
+    assert engine.partitioner.name == "routed"
     spec = spec_of(engine)
     assert spec == EngineSpec(
         "counting-variant", {"shards": 3, "partitioner": "routed"}
@@ -229,7 +228,7 @@ def test_spec_shorthand_and_roundtrip():
     rebuilt = spec.build()
     assert isinstance(rebuilt, ShardedEngine)
     assert rebuilt.shard_count == 3
-    assert rebuilt.partitioner_name == "routed"
+    assert rebuilt.partitioner.name == "routed"
     assert spec_of(rebuilt) == spec
 
 
@@ -256,7 +255,7 @@ def test_serial_executor_spec_builds_and_process_is_rejected():
     engine = spec.build()
     assert isinstance(engine, ShardedEngine)
     assert engine.shard_count == 8
-    assert engine.partitioner_name == "routed"
+    assert engine.partitioner.name == "routed"
     assert "executor" not in spec_of(engine).options
     with pytest.raises(ValueError, match="in-process"):
         build_engine("noncanonical", shards=4, executor="process")
@@ -281,8 +280,8 @@ def test_stats_surface(corpus):
     assert stats["partitioner"] == "hash"
     assert "executor" not in stats
     assert stats["subscriptions"] == len(subscriptions)
-    per_shard = engine.shard_stats()
-    assert [entry["shard"] for entry in per_shard] == [0, 1, 2, 3]
+    per_shard = [shard.stats() for shard in engine.shards]
+    assert len(per_shard) == 4
     assert sum(entry["subscriptions"] for entry in per_shard) == len(
         subscriptions
     )
@@ -292,16 +291,17 @@ def test_stats_surface(corpus):
 
 
 def test_broker_with_sharded_spec_and_aggregated_pressure():
-    machine = SimulatedMachine(total_memory_bytes=1 << 20, os_reserved_bytes=0)
-    broker = Broker("hub", engine="noncanonical×4", machine=machine)
+    broker = Broker("hub", engine="noncanonical×4")
     scenario = SkewedHotKeyScenario(seed=3)
     handles = [broker.subscribe(s) for s in scenario.subscriptions(24)]
     assert broker.subscription_count == 24
-    per_shard = broker.shard_stats()
-    assert len(per_shard) == 4
-    aggregated = sum(entry["memory_bytes"] for entry in per_shard)
-    assert broker.memory_pressure() == aggregated / machine.available_bytes
-    assert broker.engine_stats()["shards"] == 4
+    shards = broker.engine.shards
+    assert len(shards) == 4
+    # the engine's memory accounting (what a machine's pressure divides)
+    # is the sum of its shards
+    aggregated = sum(shard.memory_bytes() for shard in shards)
+    assert broker.engine.memory_bytes() == aggregated
+    assert broker.engine.stats()["shards"] == 4
     # matching + handle lifecycle work through the sharded engine
     notifications = broker.publish(scenario.events(16))
     assert len(notifications) == 16
@@ -309,19 +309,10 @@ def test_broker_with_sharded_spec_and_aggregated_pressure():
     assert broker.subscription_count == 23
 
 
-def test_unsharded_broker_shard_stats_is_uniform():
-    broker = Broker("solo", engine="counting")
-    assert [entry["engine"] for entry in broker.shard_stats()] == ["counting"]
-
-
 def test_network_with_sharded_brokers():
     network = BrokerNetwork()
     network.add_broker("edge", engine="noncanonical×2")
-    network.add_broker(
-        "hub",
-        engine="counting×2",
-        machine=SimulatedMachine(total_memory_bytes=1 << 20, os_reserved_bytes=0),
-    )
+    network.add_broker("hub", engine="counting×2")
     network.connect("edge", "hub")
     scenario = SkewedHotKeyScenario(seed=7)
     handles = [
@@ -330,11 +321,8 @@ def test_network_with_sharded_brokers():
     ]
     events = scenario.events(32)
     batched = network.publish("edge", events)
-    report = network.shard_report()
-    assert len(report["edge"]) == 2 and len(report["hub"]) == 2
-    pressure = network.memory_pressure()
-    assert pressure["edge"] == 0.0  # no machine model attached
-    assert pressure["hub"] > 0.0
+    for name in ("edge", "hub"):
+        assert len(network.broker(name).engine.shards) == 2
     # deliveries equal a single sharded broker's answers
     solo = Broker("oracle", engine="noncanonical×2")
     sinks = {}
