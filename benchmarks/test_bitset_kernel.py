@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.bitset import FulfilledMatrix, popcount
+from repro.core.bitset import FulfilledMatrix
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -80,7 +80,7 @@ def test_columnwise_and_throughput(benchmark):
                 hits &= columns[bit]
                 if not hits:
                     break
-            matched += popcount(hits)
+            matched += hits.bit_count()
         return matched
 
     result = benchmark(evaluate_all)
@@ -95,7 +95,7 @@ def test_popcount_throughput(benchmark):
     columns = _fulfillment_columns(bits=2048, events=256, seed=2)
 
     def count_all():
-        return sum(popcount(column) for column in columns)
+        return sum(column.bit_count() for column in columns)
 
     result = benchmark(count_all)
     benchmark.extra_info.update(columns=len(columns), total_bits=result)
@@ -124,7 +124,7 @@ def test_kernel_and_beats_set_intersection():
         hits = (1 << events) - 1
         for bit in clause:
             hits &= columns[bit]
-        popcount(hits)
+        hits.bit_count()
     kernel_time = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -225,9 +225,7 @@ def test_matrix_path_engages_on_batches(workload_factory):
     for display_name in KERNEL_ENGINES.values():
         engine = workload.engines[display_name]
         fulfilled_sets = engine.indexes.match_batch(events)
-        matrix = FulfilledMatrix.from_id_sets(
-            engine.indexes.bit_layout, fulfilled_sets
-        )
+        matrix = FulfilledMatrix.from_id_sets(fulfilled_sets)
         assert engine.match_fulfilled_matrix(matrix) == [
             engine.match(event) for event in events
         ]

@@ -48,7 +48,6 @@ from .broker import (
 )
 from .core import (
     ENGINES,
-    BitLayout,
     BruteForceEngine,
     CountingEngine,
     CountingVariantEngine,
@@ -72,7 +71,6 @@ from .core import (
     engine_names,
     make_partitioner,
     partitioner_names,
-    popcount,
     resolve_engine,
     shard_index,
     spec_of,
@@ -133,7 +131,6 @@ __all__ = [
     "make_partitioner",
     "partitioner_names",
     "shard_index",
-    "BitLayout",
     "BruteForceEngine",
     "CountingEngine",
     "CountingVariantEngine",
@@ -146,7 +143,6 @@ __all__ = [
     "PagedNonCanonicalEngine",
     "UnknownSubscriptionError",
     "UnsupportedSubscriptionError",
-    "popcount",
     "AttributeSpec",
     "AttributeType",
     "Event",

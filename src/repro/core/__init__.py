@@ -6,12 +6,7 @@ from .base import (
     UnknownSubscriptionError,
     UnsupportedSubscriptionError,
 )
-from .bitset import (
-    BitLayout,
-    FulfilledMatrix,
-    iter_bits,
-    popcount,
-)
+from .bitset import FulfilledMatrix
 from .bruteforce import BruteForceEngine
 from .counting import MAX_CLAUSE_PREDICATES, CountingEngine, CountingVariantEngine
 from .matching_tree import MatchingTreeEngine
@@ -47,10 +42,7 @@ __all__ = [
     "MatchCounters",
     "UnknownSubscriptionError",
     "UnsupportedSubscriptionError",
-    "BitLayout",
     "FulfilledMatrix",
-    "iter_bits",
-    "popcount",
     "BruteForceEngine",
     "MAX_CLAUSE_PREDICATES",
     "CountingEngine",

@@ -70,11 +70,10 @@ class MatchCounters:
       Zero on unsharded engines; ``probed + pruned`` per event equals
       the shard count, so the pair explains *why* routed sharding wins.
 
-    Counters accumulate monotonically; :meth:`reset` zeroes them.  They
-    measure *in-process* work only — batches routed to the sharded
-    runtime's fork workers do their probing in the worker processes,
-    invisible here (shard fan-out is counted in the parent either way:
-    the dispatch decision is the parent's).
+    Counters accumulate monotonically; :meth:`reset` zeroes them.  The
+    sharded runtime runs its shards in the calling process: each shard
+    ticks its own counters, the parent ticks the shard fan-out, and the
+    sharded engine's ``counters`` sums them.
     """
 
     phase2_calls: int = 0

@@ -92,9 +92,9 @@ class CountingEngine(FilterEngine):
         self._hits = bytearray()
         #: clause index -> original subscription id (0 = free slot)
         self._clause_subscription: list[int] = []
-        #: clause index -> required predicate bit positions (the clause's
-        #: requirement mask in the index manager's bit layout; () = free)
-        self._clause_bits: list[tuple[int, ...]] = []
+        #: clause index -> required predicate ids, the batch kernel's
+        #: requirement mask (() = free slot)
+        self._clause_pids: list[tuple[int, ...]] = []
         self._free_clause_slots: list[int] = []
         #: association table: id(p) -> [clause indexes]
         self._association: dict[int, list[int]] = {}
@@ -133,7 +133,6 @@ class CountingEngine(FilterEngine):
                     f"counter layout caps at {MAX_CLAUSE_PREDICATES} (§3.3)"
                 )
             prepared.append((predicates, len(predicates)))
-        layout = self.indexes.bit_layout
         for predicates, count in prepared:
             clause_index = self._allocate_clause(count, sid)
             pids = []
@@ -142,8 +141,9 @@ class CountingEngine(FilterEngine):
                 self.indexes.add(predicate, pid)
                 self._association.setdefault(pid, []).append(clause_index)
                 pids.append(pid)
-            self._clause_bits[clause_index] = layout.bits_of(pids)
-            clause_records.append((clause_index, tuple(pids)))
+            pids = tuple(pids)
+            self._clause_pids[clause_index] = pids
+            clause_records.append((clause_index, pids))
         self._original_ids.add(sid)
         self._subscribers[sid] = subscription.subscriber
         if self._support_unsubscription:
@@ -159,7 +159,7 @@ class CountingEngine(FilterEngine):
             self._counts.append(count)
             self._hits.append(0)
             self._clause_subscription.append(sid)
-            self._clause_bits.append(())
+            self._clause_pids.append(())
         self._live_clause_count += 1
         return index
 
@@ -218,7 +218,7 @@ class CountingEngine(FilterEngine):
         self._counts[clause_index] = 0
         self._hits[clause_index] = 0
         self._clause_subscription[clause_index] = 0
-        self._clause_bits[clause_index] = ()  # no stale-bit resurrection
+        self._clause_pids[clause_index] = ()
         self._free_clause_slots.append(clause_index)
         self._live_clause_count -= 1
 
@@ -288,8 +288,8 @@ class CountingEngine(FilterEngine):
         if event_count == 0:
             return []
         all_events = matrix.all_events_mask
-        columns = matrix.columns
-        clause_bits = self._clause_bits
+        columns = matrix.columns_to(self.indexes.width)
+        clause_pids = self._clause_pids
         clause_subscription = self._clause_subscription
         results: list[set[int]] = [set() for _ in range(event_count)]
         probed = 0
@@ -298,8 +298,8 @@ class CountingEngine(FilterEngine):
                 continue
             probed += 1
             hits = all_events
-            for bit in clause_bits[clause_index]:
-                hits &= columns[bit]
+            for pid in clause_pids[clause_index]:
+                hits &= columns[pid]
                 if not hits:
                     break
             if hits:
@@ -404,25 +404,24 @@ class CountingVariantEngine(CountingEngine):
         if event_count == 0:
             return []
         association = self._association
-        pids = matrix.layout.pids
         seen = bytearray(len(self._counts))
         touched: list[int] = []
-        for bit in matrix.active_bits:
-            clauses = association.get(pids[bit])
+        for pid in matrix.active_bits:
+            clauses = association.get(pid)
             if clauses:
                 for clause_index in clauses:
                     if not seen[clause_index]:
                         seen[clause_index] = 1
                         touched.append(clause_index)
         all_events = matrix.all_events_mask
-        columns = matrix.columns
-        clause_bits = self._clause_bits
+        columns = matrix.columns_to(self.indexes.width)
+        clause_pids = self._clause_pids
         clause_subscription = self._clause_subscription
         results: list[set[int]] = [set() for _ in range(event_count)]
         for clause_index in touched:
             hits = all_events
-            for bit in clause_bits[clause_index]:
-                hits &= columns[bit]
+            for pid in clause_pids[clause_index]:
+                hits &= columns[pid]
                 if not hits:
                     break
             if hits:

@@ -37,7 +37,7 @@ from ..subscriptions.encoding import BasicTreeCodec, TreeArena, VarintTreeCodec
 from ..subscriptions.subscription import Subscription
 from ..subscriptions.tree import SubscriptionTree
 from .base import FilterEngine, UnknownSubscriptionError
-from .bitset import FulfilledMatrix, popcount
+from .bitset import FulfilledMatrix
 
 
 def join_candidates(
@@ -126,12 +126,9 @@ class NonCanonicalEngine(FilterEngine):
         self._association: dict[int, set[int]] = {}
         #: subscription location table: id(s) -> loc(s) = (offset, width)
         self._locations: dict[int, tuple[int, int]] = {}
-        #: id(s) -> compiled match form (evaluation="compiled" only)
+        #: id(s) -> compiled match form, read by the set path and the
+        #: batch kernel alike (evaluation="compiled" only)
         self._compiled: dict[int, CompiledTree] = {}
-        #: id(s) -> compiled form with predicate ids replaced by their
-        #: bit positions in the index manager's layout (the batch
-        #: kernel's requirement masks; evaluation="compiled" only)
-        self._bit_forms: dict[int, CompiledTree] = {}
         #: subscriptions that match under the *empty* truth assignment
         #: (NOT-rooted expressions): they can match events fulfilling
         #: none of their predicates, so candidate selection via the
@@ -157,9 +154,7 @@ class NonCanonicalEngine(FilterEngine):
         offset, width = self._arena.add(self._codec.encode(tree))
         self._locations[sid] = (offset, width)
         if self._evaluation == "compiled":
-            compiled = compile_tree(tree.root)
-            self._compiled[sid] = compiled
-            self._bit_forms[sid] = self._compile_bit_form(compiled)
+            self._compiled[sid] = compile_tree(tree.root)
         if tree.evaluate(frozenset()):
             self._empty_assignment_matchers.add(sid)
         self._subscribers[sid] = subscription.subscriber
@@ -168,21 +163,6 @@ class NonCanonicalEngine(FilterEngine):
         pid = self.registry.register(predicate)
         self.indexes.add(predicate, pid)
         return pid
-
-    def _compile_bit_form(self, compiled: CompiledTree) -> CompiledTree:
-        """The compiled form with predicate ids mapped to layout bits.
-
-        Built at registration, when every referenced predicate is live
-        in the shared index manager (so has a stable bit).  Closure
-        payloads evaluate on id sets and pass through unchanged.
-        """
-        mode, payload = compiled
-        bit_of = self.indexes.bit_layout.bits
-        if mode == MODE_ANY:
-            return mode, tuple(bit_of[pid] for pid in payload)
-        if mode in (MODE_GROUPS, MODE_DNF):
-            return mode, tuple(tuple(bit_of[pid] for pid in group) for group in payload)
-        return compiled
 
     def unregister(self, subscription_id: int) -> None:
         """Remove a subscription and clean every table it touches.
@@ -195,12 +175,9 @@ class NonCanonicalEngine(FilterEngine):
         if location is None:
             raise UnknownSubscriptionError(subscription_id)
         offset, width = location
-        predicate_ids = set(
-            self._codec.predicate_ids(self._arena.buffer, offset, width)
-        )
         occurrences = list(self._codec.predicate_ids(self._arena.buffer, offset, width))
         self._arena.free(offset, width)
-        for pid in predicate_ids:
+        for pid in set(occurrences):
             referencing = self._association.get(pid)
             if referencing is not None:
                 referencing.discard(subscription_id)
@@ -212,7 +189,6 @@ class NonCanonicalEngine(FilterEngine):
         for pid in occurrences:
             self._release_predicate(pid)
         self._compiled.pop(subscription_id, None)
-        self._bit_forms.pop(subscription_id, None)
         self._empty_assignment_matchers.discard(subscription_id)
         del self._subscribers[subscription_id]
         if self._arena.needs_compaction():
@@ -238,19 +214,19 @@ class NonCanonicalEngine(FilterEngine):
 
     @property
     def has_matrix_kernel(self) -> bool:
-        """The kernel evaluates the compiled bit forms, so the
+        """The kernel evaluates the compiled forms, so the
         ``evaluation="encoded"`` ablation has none."""
         return self._evaluation == "compiled"
 
     def match_fulfilled_matrix(self, matrix: FulfilledMatrix) -> list[set[int]]:
         """Batch phase 2 on the bit kernel: one mask test per candidate.
 
-        Candidate selection runs once over the batch's fulfilled bits;
+        Candidate selection runs once over the batch's fulfilled ids;
         each candidate's compiled form is then evaluated in *event
-        space* — a group of alternative predicates ORs its bit columns,
+        space* — a group of alternative predicates ORs its id columns,
         conjunction ANDs the group masks — so one pass over a
-        candidate's bit form answers "which events match it" for the
-        whole batch (the per-event set-intersection probes collapse
+        candidate's compiled form answers "which events match it" for
+        the whole batch (the per-event set-intersection probes collapse
         into word-wise mask-subset tests).  ``candidates_probed`` ticks
         once per candidate per *batch*; ``matches_found`` still counts
         (event, subscription) pairs, identical to the set paths.
@@ -261,39 +237,38 @@ class NonCanonicalEngine(FilterEngine):
         if event_count == 0:
             return []
         all_events = matrix.all_events_mask
-        columns = matrix.columns
+        columns = matrix.columns_to(self.indexes.width)
         association = self._association
-        pids = matrix.layout.pids
         candidates: set[int] = set(self._empty_assignment_matchers)
-        for bit in matrix.active_bits:
-            referencing = association.get(pids[bit])
+        for pid in matrix.active_bits:
+            referencing = association.get(pid)
             if referencing is not None:
                 candidates |= referencing
-        bit_forms = self._bit_forms
+        compiled = self._compiled
         results: list[set[int]] = [set() for _ in range(event_count)]
         id_sets: list[set[int]] | None = None
         matched_total = 0
         for sid in candidates:
-            mode, payload = bit_forms[sid]
+            mode, payload = compiled[sid]
             if mode == MODE_GROUPS:
                 hits = all_events
                 for group in payload:
                     acc = 0
-                    for bit in group:
-                        acc |= columns[bit]
+                    for pid in group:
+                        acc |= columns[pid]
                     hits &= acc
                     if not hits:
                         break
             elif mode == MODE_ANY:
                 hits = 0
-                for bit in payload:
-                    hits |= columns[bit]
+                for pid in payload:
+                    hits |= columns[pid]
             elif mode == MODE_DNF:
                 hits = 0
                 for group in payload:
                     acc = all_events
-                    for bit in group:
-                        acc &= columns[bit]
+                    for pid in group:
+                        acc &= columns[pid]
                         if not acc:
                             break
                     hits |= acc
@@ -309,7 +284,7 @@ class NonCanonicalEngine(FilterEngine):
                         hits |= event_bit
                     event_bit <<= 1
             if hits:
-                matched_total += popcount(hits)
+                matched_total += hits.bit_count()
                 while hits:
                     low = hits & -hits
                     results[low.bit_length() - 1].add(sid)

@@ -318,8 +318,8 @@ class IndexManager:
     def __init__(self) -> None:
         self._attributes: dict[str, AttributeIndexes] = {}
         self._registered: dict[int, Predicate] = {}
-        #: predicate-id -> bit-position layout (lazy; see core.bitset)
-        self._layout = None
+        #: column count of the batch matrices: highest id indexed + 1
+        self._width = 1
 
     # ------------------------------------------------------------------
     # registration
@@ -344,7 +344,8 @@ class IndexManager:
             index.insert(slot.key(predicate), predicate_id)
             bundle.entries += 1
         self._registered[predicate_id] = predicate
-        self.bit_layout.assign(predicate_id)
+        if predicate_id >= self._width:
+            self._width = predicate_id + 1
 
     def remove(self, predicate_id: int) -> bool:
         """Drop ``predicate_id`` from its index; returns ``True`` if present."""
@@ -358,30 +359,17 @@ class IndexManager:
             bundle.entries -= 1
             if not bundle.entries:
                 del self._attributes[predicate.attribute]
-        if self._layout is not None:
-            self._layout.release(predicate_id)
         return True
 
-    # ------------------------------------------------------------------
-    # bit layout (phase-2 kernel support)
-    # ------------------------------------------------------------------
     @property
-    def bit_layout(self):
-        """The manager-owned predicate-id -> bit-position layout.
+    def width(self) -> int:
+        """Column count of the batch matrices: the highest id indexed + 1.
 
-        Created lazily (the import is deferred: ``core`` imports this
-        module at package init, so a top-level import of
-        :mod:`repro.core.bitset` would cycle).  Every id this manager
-        indexes has a bit here — ``add`` assigns, ``remove`` releases —
-        so engines sharing the manager agree on bit positions and
-        recycled bits can never sit in a live requirement mask.
+        Column ``pid`` is predicate ``pid``.  The registry recycles
+        released ids, so the width follows the peak number of live
+        predicates, not the registration traffic.
         """
-        layout = self._layout
-        if layout is None:
-            from ..core.bitset import BitLayout
-
-            layout = self._layout = BitLayout()
-        return layout
+        return self._width
 
     # ------------------------------------------------------------------
     # matching (phase 1)
@@ -408,13 +396,14 @@ class IndexManager:
         """Phase 1 over a batch, in the kernel's column-major bit form.
 
         Returns a :class:`~repro.core.bitset.FulfilledMatrix`: one
-        event-space integer column per fulfilled predicate bit, built by
-        one sweep per attribute (see the module docstring).
+        event-space integer column per predicate id, built by one sweep
+        per attribute (see the module docstring).
         """
         return self._sweep(events)
 
     def _sweep(self, events: Sequence[Event]):
         """The one batch phase-1 implementation behind both batch forms."""
+        # deferred: ``core`` imports this module at package init
         from ..core.bitset import FulfilledMatrix
 
         attributes = self._attributes
@@ -434,18 +423,15 @@ class IndexManager:
         hits: list[tuple[Iterable[int], int]] = []
         for attribute, kinds in groups.items():
             attributes[attribute].sweep(kinds, hits)
-        layout = self.bit_layout
-        bit_of = layout.bits
-        columns = [0] * layout.capacity
+        columns = [0] * self._width
         active_bits: list[int] = []
         for ids, mask in hits:
             for pid in ids:
-                bit = bit_of[pid]
-                column = columns[bit]
+                column = columns[pid]
                 if not column:
-                    active_bits.append(bit)
-                columns[bit] = column | mask
-        return FulfilledMatrix(layout, columns, active_bits, len(events))
+                    active_bits.append(pid)
+                columns[pid] = column | mask
+        return FulfilledMatrix(columns, active_bits, len(events))
 
     # ------------------------------------------------------------------
     # introspection

@@ -2,11 +2,12 @@
 
 Three layers of proof, bottom-up:
 
-* the int bit primitives (`popcount`, `iter_bits`) are exact across
-  word boundaries;
-* `BitLayout` recycles released bit positions without ever handing a
-  live bit two meanings, and `IndexManager.match_batch_bits` stays in
-  lockstep with the set-based `match_batch` through add/remove churn;
+* the kernel's event-bit walk and match count are exact across word
+  boundaries;
+* `FulfilledMatrix` columns are indexed by predicate id, and
+  `IndexManager.match_batch_bits` stays in lockstep with the per-event
+  set-based `match` through add/remove churn, with registry recycling
+  keeping the width at the peak live predicate count;
 * every registry engine's `match_fulfilled_matrix` equals its set-based
   `match_fulfilled_batch` (and `match_batch` equals per-event `match`)
   over randomized corpora, including batch-flushed subscribe/unsubscribe
@@ -22,8 +23,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import SELECTED_ENGINE, event_strategy, predicate_strategy
-from repro import EngineSpec, UnsupportedSubscriptionError
-from repro.core.bitset import BitLayout, FulfilledMatrix, iter_bits, popcount
+from repro import (
+    EngineSpec,
+    NonCanonicalEngine,
+    Subscription,
+    UnsupportedSubscriptionError,
+)
+from repro.core.bitset import FulfilledMatrix
 from repro.events import Event
 from repro.indexes import IndexManager
 from repro.predicates import Operator, Predicate, PredicateRegistry
@@ -45,117 +51,60 @@ BOUNDARY_VALUES = [
 ]
 
 
+def _kernel_on_column(value: int):
+    """The non-canonical kernel on one subscription whose one predicate
+    column is ``value``: event ``i`` fulfils it iff bit ``i`` is set."""
+    engine = NonCanonicalEngine()
+    subscription = Subscription.from_text("x = 1")
+    engine.register(subscription)
+    [pid] = engine.indexes.match(Event({"x": 1}))
+    sets = [
+        {pid} if value >> index & 1 else set() for index in range(value.bit_length())
+    ]
+    matrix = FulfilledMatrix.from_id_sets(sets)
+    return engine, subscription.subscription_id, engine.match_fulfilled_matrix(matrix)
+
+
 class TestPrimitives:
     @pytest.mark.parametrize("value", BOUNDARY_VALUES, ids=lambda v: f"{v:#x}")
     def test_popcount_matches_bit_count(self, value):
-        assert popcount(value) == value.bit_count()
+        engine, _, _ = _kernel_on_column(value)
+        assert engine.counters.matches_found == value.bit_count()
 
     @pytest.mark.parametrize("value", BOUNDARY_VALUES, ids=lambda v: f"{v:#x}")
     def test_iter_bits_ascending_and_complete(self, value):
-        positions = list(iter_bits(value))
-        assert positions == sorted(positions)
+        _, sid, results = _kernel_on_column(value)
+        positions = [index for index, matched in enumerate(results) if matched]
+        assert all(matched == {sid} for matched in results if matched)
         assert sum(1 << position for position in positions) == value
 
 
-class TestBitLayout:
-    def test_assign_is_dense_and_idempotent(self):
-        layout = BitLayout()
-        assert layout.assign(101) == 0
-        assert layout.assign(202) == 1
-        assert layout.assign(101) == 0
-        assert layout.capacity == 2
-        assert len(layout) == 2
-        assert 101 in layout and 303 not in layout
-        assert layout.bit_of(202) == 1
-        assert layout.pid_at(0) == 101
-        assert layout.bits_of([202, 101]) == (1, 0)
-
-    def test_release_recycles_and_bumps_epoch(self):
-        layout = BitLayout()
-        for pid in (1, 2, 3):
-            layout.assign(pid)
-        epoch = layout.epoch
-        assert layout.release(2)
-        assert layout.epoch == epoch + 1
-        assert layout.pid_at(1) is None
-        assert 2 not in layout
-        # the freed position is recycled, capacity does not grow
-        assert layout.assign(9) == 1
-        assert layout.capacity == 3
-        # releasing an unknown id is a no-op and does not bump the epoch
-        epoch = layout.epoch
-        assert not layout.release(777)
-        assert layout.epoch == epoch
-
-    def test_capacity_bounded_by_live_high_water_mark(self):
-        layout = BitLayout()
-        rng = random.Random(7)
-        live: set[int] = set()
-        high_water = 0
-        for pid in range(1, 400):
-            layout.assign(pid)
-            live.add(pid)
-            high_water = max(high_water, len(live))
-            if len(live) > 20 and rng.random() < 0.6:
-                victim = rng.choice(sorted(live))
-                layout.release(victim)
-                live.remove(victim)
-        assert layout.capacity <= high_water
-        assert len(layout) == len(live)
-
-    def test_compact_renumbers_densely(self):
-        layout = BitLayout()
-        for pid in range(10):
-            layout.assign(pid)
-        for pid in (1, 4, 7, 9):
-            layout.release(pid)
-        epoch = layout.epoch
-        remap = layout.compact()
-        assert layout.epoch == epoch + 1
-        assert layout.capacity == len(layout) == 6
-        assert not layout.free
-        # the remap covers exactly the surviving bits, onto a dense range
-        assert sorted(remap.values()) == list(range(6))
-        for old_bit, new_bit in remap.items():
-            assert layout.pid_at(new_bit) is not None
-        for pid in (0, 2, 3, 5, 6, 8):
-            assert layout.bit_of(pid) < 6
-
-
 class TestFulfilledMatrix:
-    def _layout(self, pids):
-        layout = BitLayout()
-        for pid in pids:
-            layout.assign(pid)
-        return layout
-
     def test_from_id_sets_to_id_sets_roundtrip(self):
-        layout = self._layout([10, 20, 30, 40])
         sets = [{10, 30}, set(), {20}, {10, 20, 40}]
-        matrix = FulfilledMatrix.from_id_sets(layout, sets)
+        matrix = FulfilledMatrix.from_id_sets(sets)
         assert matrix.event_count == 4
+        assert len(matrix.columns) == 41
         assert matrix.to_id_sets() == sets
         assert matrix.to_id_sets() is matrix.to_id_sets()  # cached
 
     def test_columns_and_rows_are_transposes(self):
-        layout = self._layout([10, 20, 30])
         sets = [{10}, {10, 20}, {30}]
-        matrix = FulfilledMatrix.from_id_sets(layout, sets)
-        bit_10 = layout.bit_of(10)
-        assert matrix.column(bit_10) == 0b011  # events 0 and 1
-        assert matrix.row(0) == 1 << bit_10
-        assert matrix.row(1) == (1 << bit_10) | (1 << layout.bit_of(20))
-        assert matrix.row(2) == 1 << layout.bit_of(30)
-        with pytest.raises(IndexError):
-            matrix.row(3)
+        matrix = FulfilledMatrix.from_id_sets(sets)
+        assert matrix.columns[10] == 0b011  # events 0 and 1
+        assert matrix.columns[20] == 0b010
+        assert matrix.columns[30] == 0b100
+        for index, fulfilled in enumerate(matrix.to_id_sets()):
+            assert fulfilled == {
+                pid for pid, column in enumerate(matrix.columns) if column >> index & 1
+            }
 
     def test_active_bits_are_exactly_nonzero_columns(self):
-        layout = self._layout([1, 2, 3, 4])
-        matrix = FulfilledMatrix.from_id_sets(layout, [{2}, {2, 4}])
+        matrix = FulfilledMatrix.from_id_sets([{2}, {2, 4}])
+        assert sorted(matrix.active_bits) == [2, 4]
         assert sorted(matrix.active_bits) == sorted(
-            bit for bit, column in enumerate(matrix.columns) if column
+            pid for pid, column in enumerate(matrix.columns) if column
         )
-        assert sorted(matrix.active_pids()) == [2, 4]
         assert matrix.all_events_mask == 0b11
 
     @given(
@@ -166,13 +115,13 @@ class TestFulfilledMatrix:
     )
     @settings(max_examples=60, deadline=None)
     def test_roundtrip_property(self, sets):
-        layout = self._layout([11, 22, 33, 44, 55])
-        matrix = FulfilledMatrix.from_id_sets(layout, sets)
+        matrix = FulfilledMatrix.from_id_sets(sets)
         assert matrix.to_id_sets() == sets
-        for index in range(len(sets)):
-            assert {
-                layout.pid_at(bit) for bit in iter_bits(matrix.row(index))
-            } == sets[index]
+        for pid in (11, 22, 33, 44, 55):
+            column = matrix.columns[pid] if pid < len(matrix.columns) else 0
+            assert column == sum(
+                1 << index for index, fulfilled in enumerate(sets) if pid in fulfilled
+            )
 
 
 class TestIndexManagerBits:
@@ -192,17 +141,15 @@ class TestIndexManagerBits:
         manager = IndexManager()
         manager.add(Predicate("x", Operator.GT, 1), 1)
         manager.add(Predicate("x", Operator.LT, 9), 2)
-        layout = manager.bit_layout
-        assert 1 in layout and 2 in layout
-        epoch = layout.epoch
+        assert manager.width == 3  # slot 0 unused
         assert manager.remove(1)
-        assert 1 not in layout
-        assert layout.epoch == epoch + 1
-        # the freed bit is recycled by the next add; no stale resurrection
-        manager.add(Predicate("y", Operator.EQ, 3), 3)
-        assert layout.capacity == 2
+        # a recycled id takes over its column; no stale resurrection
+        manager.add(Predicate("y", Operator.EQ, 3), 1)
+        assert manager.width == 3
         matrix = manager.match_batch_bits([Event({"x": 5}), Event({"y": 3})])
-        assert matrix.to_id_sets() == [{2}, {3}]
+        assert len(matrix.columns) == 3
+        assert matrix.columns[1] == 0b10 and matrix.columns[2] == 0b01
+        assert matrix.to_id_sets() == [{2}, {1}]
 
     def test_probe_cache_invalidated_by_version_bump(self):
         manager = IndexManager()
@@ -221,7 +168,7 @@ class TestIndexManagerBits:
         events = [Event({"x": 7})] * 5 + [Event({"x": 8})]
         matrix = manager.match_batch_bits(events)
         assert matrix.to_id_sets() == [{1}] * 5 + [set()]
-        assert matrix.column(manager.bit_layout.bit_of(1)) == 0b011111
+        assert matrix.columns[1] == 0b011111
 
 
 # -- engine parity: matrix phase 2 vs set-based phase 2 ----------------
@@ -293,9 +240,7 @@ def _assert_matrix_parity(engine, events) -> None:
     """Matrix phase 2 must equal set phase 2 on the same phase-1 output,
     and the full batch path must equal per-event matching."""
     fulfilled_sets = engine.indexes.match_batch(events)
-    matrix = FulfilledMatrix.from_id_sets(
-        engine.indexes.bit_layout, fulfilled_sets
-    )
+    matrix = FulfilledMatrix.from_id_sets(fulfilled_sets)
     assert engine.match_fulfilled_matrix(matrix) == engine.match_fulfilled_batch(
         fulfilled_sets
     )
@@ -350,17 +295,58 @@ def test_matrix_parity_survives_batch_flushed_churn(spec, allow_not):
                 subscription_id not in matched
                 for matched in engine.match_batch(events)
             )
-    # recycling bounds the bit space at the live high-water mark, not
+    # recycling bounds the width at the live high-water mark, not
     # total registration traffic (60 registrations flowed through)
-    layout = engine.indexes.bit_layout
-    assert layout.capacity <= 60 * 4
+    assert engine.indexes.width <= 60 * 4 + 1
+    if hasattr(engine, "close"):  # the paged engine holds an arena file
+        engine.close()
+
+
+@pytest.mark.parametrize(
+    "spec, allow_not",
+    [case[1:] for case in ENGINE_CASES],
+    ids=[case[0] for case in ENGINE_CASES],
+)
+def test_columns_are_predicate_ids_under_churn(spec, allow_not):
+    """Under subscribe/unsubscribe churn with registry id recycling, the
+    batch matrix's column ``pid`` is predicate ``pid`` and the width
+    stays at the peak live predicate count + 1 (slot 0 is unused)."""
+    rng = random.Random(2112)
+    engine = spec.build()
+    registry, indexes = engine.registry, engine.indexes
+    generator = GeneralSubscriptionGenerator(
+        seed=31, allow_not=allow_not, value_range=30
+    )
+    events = _random_events(rng, 40)
+    live: list[int] = []
+    peak = 0
+    for _ in range(5):
+        live.extend(_register(engine, generator, 12))
+        peak = max(peak, len(registry))
+        rng.shuffle(live)
+        doomed, live = live[: len(live) // 2], live[len(live) // 2 :]
+        for subscription_id in doomed:
+            engine.unregister(subscription_id)
+        matrix = indexes.match_batch_bits(events)
+        assert matrix.to_id_sets() == indexes.match_batch(events)
+        assert matrix.to_id_sets() == [indexes.match(event) for event in events]
+        for pid in matrix.active_bits:
+            predicate = registry.predicate(pid)
+            assert matrix.columns[pid] == sum(
+                1 << index
+                for index, event in enumerate(events)
+                if predicate.matches(event)
+            )
+        assert all(pid < len(matrix.columns) for pid, _ in registry)
+        assert len(matrix.columns) <= peak + 1
     if hasattr(engine, "close"):  # the paged engine holds an arena file
         engine.close()
 
 
 def test_shared_layout_across_engines():
-    """Engines sharing one IndexManager agree on bit positions: a matrix
-    built once serves matrix-capable engines of different kinds."""
+    """Engines sharing one registry agree on columns, since a column is
+    the predicate id: a matrix built once serves matrix-capable engines
+    of different kinds."""
     registry = PredicateRegistry()
     indexes = IndexManager()
     specs = [
@@ -380,7 +366,7 @@ def test_shared_layout_across_engines():
                 break
     events = _random_events(random.Random(6), 32)
     fulfilled_sets = indexes.match_batch(events)
-    matrix = FulfilledMatrix.from_id_sets(indexes.bit_layout, fulfilled_sets)
+    matrix = FulfilledMatrix.from_id_sets(fulfilled_sets)
     for engine in engines:
         assert engine.match_fulfilled_matrix(matrix) == engine.match_fulfilled_batch(
             fulfilled_sets

@@ -200,7 +200,6 @@ zoo_event_strategy = st.fixed_dictionaries(
 churn_step_strategy = st.one_of(
     st.tuples(st.just("add"), zoo_predicate_strategy()),
     st.tuples(st.just("remove"), st.integers(0, 63)),
-    st.tuples(st.just("compact"), st.none()),
     st.tuples(
         st.just("batch"), st.lists(zoo_event_strategy, min_size=1, max_size=64)
     ),
@@ -229,8 +228,6 @@ class TestBatchSweepAgainstSpec:
                     pid = sorted(live)[argument % len(live)]
                     assert manager.remove(pid)
                     del live[pid]
-            elif action == "compact":
-                manager.bit_layout.compact()
             else:
                 expected = [
                     {pid for pid, p in live.items() if p.matches(event)}

@@ -128,3 +128,17 @@ def test_report_names_every_end_to_end_metric_and_layer():
         assert metric["name"] in text
     assert "core.model_bytes" in text
     assert "+100.0%" in text
+
+
+def test_report_labels_a_metric_unresolved_when_the_base_spread_passes_its_bound():
+    base = side()
+    for run, factor in zip(base.runs["paper-b256"], (0.8, 0.9, 1.0, 1.1, 1.2)):
+        run["metrics"]["rss_peak_mb"]["value"] *= factor
+    lines = perf_ab.report(base, side(), BENCHMARK)
+    unresolved = [line for line in lines if "unresolved" in line]
+    [line] = unresolved  # rss of paper-b256 only: +-2% jitter is inside 5%
+    assert line.lstrip().startswith("rss_peak_mb")
+    assert lines.index(line) < lines.index("== hotkey-b32")
+    assert "base IQR 33% of its median" in line
+    # the label reports; the verdict on medians is unchanged
+    assert perf_ab.verdict(base, side(), BENCHMARK) == []

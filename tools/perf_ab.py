@@ -28,9 +28,14 @@ The verdict (:func:`verdict`) fails when, on any workload,
   more than :data:`SUPPRESSION_DROP` (absolute) — both are deterministic
   counts, so they gate tighter than timings.
 
-Per-layer deltas of the traced runs are printed so that a regression can
-be traced to a layer; they do not gate.  Exit status: 0 pass, 1 verdict
-failed, 2 the measurement itself could not be made.
+The report labels an end-to-end metric ``unresolved`` when the base
+side's interquartile range, relative to its median, is wider than the
+metric's bound: the pairs cannot tell a change of that size from the
+host's own spread, so "within the bound" does not mean "unchanged".  The
+label does not gate.  Per-layer deltas of the traced runs are printed so
+that a regression can be traced to a layer; they do not gate either.
+Exit status: 0 pass, 1 verdict failed, 2 the measurement itself could
+not be made.
 """
 
 from __future__ import annotations
@@ -151,6 +156,14 @@ def _quartiles(values: list[float]) -> str:
     return f"{median:.4g} [{low:.4g}, {high:.4g}]"
 
 
+def _relative_spread(values: list[float]) -> float:
+    """Interquartile range over the median; 0 for fewer than two values."""
+    if len(values) < 2:
+        return 0.0
+    low, median, high = statistics.quantiles(values, n=4)
+    return _change(median, median + high - low)
+
+
 def report(base: Side, head: Side, benchmark: dict) -> list[str]:
     """Median and quartiles per end-to-end metric, then per-layer deltas."""
     lines = []
@@ -165,10 +178,17 @@ def report(base: Side, head: Side, benchmark: dict) -> list[str]:
             change = _change(
                 statistics.median(base_values), statistics.median(head_values)
             )
+            spread = _relative_spread(base_values)
+            unresolved = (
+                f" unresolved: base IQR {spread:.0%} of its median"
+                if spread > metric["bound"]
+                else ""
+            )
             lines.append(
                 f"  {name:<20} base {_quartiles(base_values):<32} "
                 f"head {_quartiles(head_values):<32} {change:+.1%} "
                 f"({metric['better']} is better, bound {metric['bound']:.0%})"
+                f"{unresolved}"
             )
         base_traced = base.traced.get(workload)
         head_traced = head.traced.get(workload)
