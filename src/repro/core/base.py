@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import AbstractSet, Mapping, Sequence
 
 from ..events.event import Event
 from ..indexes.manager import IndexManager
@@ -316,14 +316,11 @@ class FilterEngine(abc.ABC):
     # ------------------------------------------------------------------
     # helpers shared by concrete engines
     # ------------------------------------------------------------------
-    def _register_predicates(self, predicates: Iterable) -> list[int]:
-        """Register predicates in registry + indexes; return their ids."""
-        ids = []
-        for predicate in predicates:
-            pid = self.registry.register(predicate)
-            self.indexes.add(predicate, pid)
-            ids.append(pid)
-        return ids
+    def _register_predicate(self, predicate) -> int:
+        """Register one predicate in registry + indexes; return its id."""
+        pid = self.registry.register(predicate)
+        self.indexes.add(predicate, pid)
+        return pid
 
     def _release_predicate(self, predicate_id: int) -> None:
         """Drop one reference; de-index the predicate when retired."""

@@ -50,15 +50,10 @@ class BruteForceEngine(FilterEngine):
         if sid in self._subscriptions:
             raise ValueError(f"subscription id {sid} already registered")
         tree = SubscriptionTree.from_expression(
-            subscription.expression, self._register_and_index
+            subscription.expression, self._register_predicate
         )
         self._subscriptions[sid] = subscription
         self._trees[sid] = tree
-
-    def _register_and_index(self, predicate) -> int:
-        pid = self.registry.register(predicate)
-        self.indexes.add(predicate, pid)
-        return pid
 
     def unregister(self, subscription_id: int) -> None:
         subscription = self._subscriptions.pop(subscription_id, None)

@@ -102,7 +102,6 @@ class CountingEngine(FilterEngine):
         self._subscription_clauses: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
         self._original_ids: set[int] = set()
         self._live_clause_count = 0
-        self._subscribers: dict[int, str | None] = {}
 
     # ------------------------------------------------------------------
     # registration
@@ -137,15 +136,13 @@ class CountingEngine(FilterEngine):
             clause_index = self._allocate_clause(count, sid)
             pids = []
             for predicate in predicates:
-                pid = self.registry.register(predicate)
-                self.indexes.add(predicate, pid)
+                pid = self._register_predicate(predicate)
                 self._association.setdefault(pid, []).append(clause_index)
                 pids.append(pid)
             pids = tuple(pids)
             self._clause_pids[clause_index] = pids
             clause_records.append((clause_index, pids))
         self._original_ids.add(sid)
-        self._subscribers[sid] = subscription.subscriber
         if self._support_unsubscription:
             self._subscription_clauses[sid] = clause_records
 
@@ -189,7 +186,6 @@ class CountingEngine(FilterEngine):
         else:
             self._unregister_by_scan(subscription_id)
         self._original_ids.discard(subscription_id)
-        del self._subscribers[subscription_id]
 
     def _unregister_by_scan(self, subscription_id: int) -> None:
         """The expensive path: walk the whole association table."""
@@ -313,13 +309,6 @@ class CountingEngine(FilterEngine):
         counters.candidates_probed += probed
         counters.matches_found += sum(len(matched) for matched in results)
         return results
-
-    def subscriber_of(self, subscription_id: int) -> str | None:
-        """The subscriber registered for ``subscription_id``."""
-        try:
-            return self._subscribers[subscription_id]
-        except KeyError:
-            raise UnknownSubscriptionError(subscription_id) from None
 
     # ------------------------------------------------------------------
     # memory accounting

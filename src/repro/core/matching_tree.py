@@ -89,7 +89,6 @@ class MatchingTreeEngine(FilterEngine):
         #: id(s) -> [per-clause (level constraints, pids)] for unsubscription
         self._clauses: dict[int, list[dict[int, frozenset[int]]]] = {}
         self._clause_count = 0
-        self._subscribers: dict[int, str | None] = {}
 
     # ------------------------------------------------------------------
     # registration
@@ -114,8 +113,7 @@ class MatchingTreeEngine(FilterEngine):
             # a fixed visiting order: tree levels and predicate ids must
             # not follow the clause's hash-seeded set order
             for predicate in sorted(clause.positive_predicates(), key=str):
-                pid = self.registry.register(predicate)
-                self.indexes.add(predicate, pid)
+                pid = self._register_predicate(predicate)
                 level = self._level_for(predicate.attribute)
                 by_level.setdefault(level, set()).add(pid)
             prepared.append(
@@ -125,7 +123,6 @@ class MatchingTreeEngine(FilterEngine):
             self._insert_clause(constraints, sid)
             self._clause_count += 1
         self._clauses[sid] = prepared
-        self._subscribers[sid] = subscription.subscriber
 
     def _level_for(self, attribute: str) -> int:
         level = self._level_of.get(attribute)
@@ -167,7 +164,6 @@ class MatchingTreeEngine(FilterEngine):
             for pids in constraints.values():
                 for pid in pids:
                     self._release_predicate(pid)
-        del self._subscribers[subscription_id]
 
     def _remove_clause(
         self,
@@ -209,13 +205,6 @@ class MatchingTreeEngine(FilterEngine):
 
     def subscription_ids(self) -> frozenset[int]:
         return frozenset(self._clauses)
-
-    def subscriber_of(self, subscription_id: int) -> str | None:
-        """The subscriber registered for ``subscription_id``."""
-        try:
-            return self._subscribers[subscription_id]
-        except KeyError:
-            raise UnknownSubscriptionError(subscription_id) from None
 
     # ------------------------------------------------------------------
     # matching

@@ -1,8 +1,9 @@
 """The paper's contribution: the non-canonical filtering engine (§3).
 
 Subscriptions are stored *as registered* — arbitrary Boolean expressions
-compiled to compacted n-ary trees and kept in a byte arena.  Matching an
-event involves the four data structures of paper Fig. 2:
+compiled to compacted n-ary trees and kept in a tree store (a byte arena
+in RAM; a file for the paged engine).  Matching an event involves the
+four data structures of paper Fig. 2:
 
 1. the one-dimensional **indexes** (shared phase 1) produce the set of
    fulfilled predicate ids ``{id(p)}``;
@@ -10,7 +11,7 @@ event involves the four data structures of paper Fig. 2:
    predicate to the subscriptions referencing it, yielding the candidate
    set ``{id(s)}``;
 3. the **subscription location table** maps each candidate to ``loc(s)``,
-   the offset of its encoded tree in the arena;
+   the offset of its encoded tree in the store;
 4. the candidate's **subscription tree** is evaluated directly on the
    encoded bytes with the fulfilled-id set as the truth assignment.
 
@@ -33,41 +34,16 @@ from ..subscriptions.compiler import (
     CompiledTree,
     compile_tree,
 )
-from ..subscriptions.encoding import BasicTreeCodec, TreeArena, VarintTreeCodec
+from ..subscriptions.encoding import (
+    BasicTreeCodec,
+    TreeArena,
+    TreeStore,
+    VarintTreeCodec,
+)
 from ..subscriptions.subscription import Subscription
 from ..subscriptions.tree import SubscriptionTree
 from .base import FilterEngine, UnknownSubscriptionError
 from .bitset import FulfilledMatrix
-
-
-def join_candidates(
-    association: Mapping[int, AbstractSet[int]],
-    unconditional: AbstractSet[int],
-    fulfilled_ids: AbstractSet[int],
-) -> set[int]:
-    """The association join: candidate subscriptions for fulfilled ids.
-
-    ``association`` is the predicate subscription association table
-    (``id(p) -> {id(s)}``) and ``unconditional`` the subscriptions that
-    match under the empty truth assignment, which are always candidates.
-    The join walks its smaller side: normally the fulfilled ids, but
-    when the table holds fewer associations than the event fulfilled
-    predicates — the sharded runtime's small shards — the table itself.
-    Either walk produces the same candidate set; the small-table form is
-    what keeps a pruned shard's probe cost proportional to the shard,
-    not to the event.
-    """
-    candidates: set[int] = set(unconditional)
-    if len(association) < len(fulfilled_ids):
-        for pid, referencing in association.items():
-            if pid in fulfilled_ids:
-                candidates.update(referencing)
-    else:
-        for pid in fulfilled_ids:
-            referencing = association.get(pid)
-            if referencing is not None:
-                candidates.update(referencing)
-    return candidates
 
 
 class NonCanonicalEngine(FilterEngine):
@@ -84,8 +60,8 @@ class NonCanonicalEngine(FilterEngine):
         operations, mirroring the per-access cost the paper's C prototype
         pays for encoded-tree traversal (see
         :mod:`repro.subscriptions.compiler`).  ``"encoded"``: evaluate
-        the byte encoding directly (ablation A1).  Either way the byte
-        arena is maintained and is what the memory model charges.
+        the byte encoding directly (ablation A1).  Either way the tree
+        store is maintained and is what the memory model charges.
     selectivity:
         Optional mapping ``predicate_id -> fulfilment probability``.
         When provided, registered trees are reordered for short-circuit
@@ -121,7 +97,9 @@ class NonCanonicalEngine(FilterEngine):
         self._evaluation = evaluation
         self._selectivity = dict(selectivity) if selectivity else None
         self._cost_model = cost_model
-        self._arena = TreeArena()
+        #: where the encoded trees live (see TreeStore); every tree read
+        #: goes through its view(), so the paged subclass swaps it alone
+        self._store: TreeStore = TreeArena()
         #: predicate subscription association table: id(p) -> {id(s)}
         self._association: dict[int, set[int]] = {}
         #: subscription location table: id(s) -> loc(s) = (offset, width)
@@ -134,7 +112,6 @@ class NonCanonicalEngine(FilterEngine):
         #: none of their predicates, so candidate selection via the
         #: association table alone would miss them.
         self._empty_assignment_matchers: set[int] = set()
-        self._subscribers: dict[int, str | None] = {}
 
     # ------------------------------------------------------------------
     # registration
@@ -145,24 +122,17 @@ class NonCanonicalEngine(FilterEngine):
         if sid in self._locations:
             raise ValueError(f"subscription id {sid} already registered")
         tree = SubscriptionTree.from_expression(
-            subscription.expression, self._register_and_index
+            subscription.expression, self._register_predicate
         )
         if self._selectivity is not None:
             tree = tree.reordered_by_selectivity(self._selectivity)
         for pid in tree.predicate_ids():
             self._association.setdefault(pid, set()).add(sid)
-        offset, width = self._arena.add(self._codec.encode(tree))
-        self._locations[sid] = (offset, width)
+        self._locations[sid] = self._store.add(self._codec.encode(tree))
         if self._evaluation == "compiled":
             self._compiled[sid] = compile_tree(tree.root)
         if tree.evaluate(frozenset()):
             self._empty_assignment_matchers.add(sid)
-        self._subscribers[sid] = subscription.subscriber
-
-    def _register_and_index(self, predicate) -> int:
-        pid = self.registry.register(predicate)
-        self.indexes.add(predicate, pid)
-        return pid
 
     def unregister(self, subscription_id: int) -> None:
         """Remove a subscription and clean every table it touches.
@@ -175,8 +145,9 @@ class NonCanonicalEngine(FilterEngine):
         if location is None:
             raise UnknownSubscriptionError(subscription_id)
         offset, width = location
-        occurrences = list(self._codec.predicate_ids(self._arena.buffer, offset, width))
-        self._arena.free(offset, width)
+        buffer, start = self._store.view(offset, width)
+        occurrences = list(self._codec.predicate_ids(buffer, start, width))
+        self._store.free(offset, width)
         for pid in set(occurrences):
             referencing = self._association.get(pid)
             if referencing is not None:
@@ -190,9 +161,8 @@ class NonCanonicalEngine(FilterEngine):
             self._release_predicate(pid)
         self._compiled.pop(subscription_id, None)
         self._empty_assignment_matchers.discard(subscription_id)
-        del self._subscribers[subscription_id]
-        if self._arena.needs_compaction():
-            relocations = self._arena.compact()
+        if self._store.needs_compaction():
+            relocations = self._store.compact()
             self._locations = {
                 sid: (relocations[off], w)
                 for sid, (off, w) in self._locations.items()
@@ -205,6 +175,11 @@ class NonCanonicalEngine(FilterEngine):
     def subscription_ids(self) -> frozenset[int]:
         return frozenset(self._locations)
 
+    @property
+    def store(self) -> TreeStore:
+        """The tree store: the in-RAM arena, or the paged engine's file."""
+        return self._store
+
     # ------------------------------------------------------------------
     # matching
     # ------------------------------------------------------------------
@@ -215,7 +190,8 @@ class NonCanonicalEngine(FilterEngine):
     @property
     def has_matrix_kernel(self) -> bool:
         """The kernel evaluates the compiled forms, so the
-        ``evaluation="encoded"`` ablation has none."""
+        ``evaluation="encoded"`` ablation — and the paged engine — has
+        none."""
         return self._evaluation == "compiled"
 
     def match_fulfilled_matrix(self, matrix: FulfilledMatrix) -> list[set[int]]:
@@ -329,28 +305,41 @@ class NonCanonicalEngine(FilterEngine):
                     matched.add(sid)
             counters.matches_found += len(matched)
             return matched
-        buffer = self._arena.buffer
         locations = self._locations
+        view = self._store.view
         evaluate = self._codec.evaluate
         for sid in candidates:
             offset, width = locations[sid]
-            if evaluate(buffer, offset, width, fulfilled_ids):
+            buffer, start = view(offset, width)
+            if evaluate(buffer, start, width, fulfilled_ids):
                 matched.add(sid)
         counters.matches_found += len(matched)
         return matched
 
     def candidates_for(self, fulfilled_ids: AbstractSet[int]) -> set[int]:
-        """The candidate subscription set for a fulfilled-id set."""
-        return join_candidates(
-            self._association, self._empty_assignment_matchers, fulfilled_ids
-        )
+        """The association join: candidate subscriptions for fulfilled ids.
 
-    def subscriber_of(self, subscription_id: int) -> str | None:
-        """The subscriber registered for ``subscription_id``."""
-        try:
-            return self._subscribers[subscription_id]
-        except KeyError:
-            raise UnknownSubscriptionError(subscription_id) from None
+        Every subscription referencing a fulfilled predicate is a
+        candidate, and so is every subscription matching under the empty
+        truth assignment.  The join walks its smaller side: normally the
+        fulfilled ids, but when the table holds fewer associations than
+        the event fulfilled predicates — the sharded runtime's small
+        shards — the table itself.  Either walk produces the same
+        candidate set; the small-table form is what keeps a pruned
+        shard's probe cost proportional to the shard, not to the event.
+        """
+        association = self._association
+        candidates: set[int] = set(self._empty_assignment_matchers)
+        if len(association) < len(fulfilled_ids):
+            for pid, referencing in association.items():
+                if pid in fulfilled_ids:
+                    candidates.update(referencing)
+        else:
+            for pid in fulfilled_ids:
+                referencing = association.get(pid)
+                if referencing is not None:
+                    candidates.update(referencing)
+        return candidates
 
     # ------------------------------------------------------------------
     # memory accounting
@@ -358,14 +347,14 @@ class NonCanonicalEngine(FilterEngine):
     def memory_breakdown(self) -> Mapping[str, int]:
         """Bytes per structure under the paper's cost model.
 
-        ``subscription_trees`` is the *live* arena size — the actual
+        ``subscription_trees`` is the *live* store size — the actual
         encoded bytes, which is exactly what the paper's §3.3 prototype
         allocates.
         """
         model = self._cost_model
         reference_count = sum(len(s) for s in self._association.values())
         return {
-            "subscription_trees": self._arena.live_bytes,
+            "subscription_trees": self._store.live_bytes,
             "association_table": model.association_table_bytes(
                 len(self._association), reference_count
             ),

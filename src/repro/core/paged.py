@@ -2,10 +2,16 @@
 
 Paper §5 closes with: "a further step is the development of filtering
 strategies exploiting other resources than main memory."  This module is
-that step: the subscription tree arena lives in a **file**, and matching
+that step: the subscription tree store lives in a **file**, and matching
 reads candidate trees through a fixed-budget LRU page cache.  Main
 memory then holds only the association and location tables plus the
-cache — the engine's RAM footprint stops growing with the arena.
+cache — the engine's RAM footprint stops growing with the trees.
+
+Only where the trees live changes: :class:`PagedNonCanonicalEngine` is
+the non-canonical engine with ``evaluation="encoded"`` over a
+:class:`DiskTreeStore` in place of the in-RAM
+:class:`~repro.subscriptions.encoding.TreeArena`; both implement the
+:class:`~repro.subscriptions.encoding.TreeStore` protocol.
 
 Because the non-canonical engine evaluates only *candidate*
 subscriptions (a small, fulfilled-predicate-driven subset), the cache
@@ -19,26 +25,37 @@ from __future__ import annotations
 
 import os
 import tempfile
+import weakref
 from collections import OrderedDict
-from typing import AbstractSet, Mapping, Sequence
+from typing import AbstractSet, BinaryIO, Mapping, Sequence
 
 from ..indexes.manager import IndexManager
 from ..memory.cost_model import DEFAULT_COST_MODEL, CostModel
 from ..predicates.registry import PredicateRegistry
-from ..subscriptions.encoding import BasicTreeCodec
-from ..subscriptions.subscription import Subscription
-from ..subscriptions.tree import SubscriptionTree
-from .base import FilterEngine, UnknownSubscriptionError
-from .noncanonical import join_candidates
+from ..subscriptions.encoding import TreeStore
+from .noncanonical import NonCanonicalEngine
 
 
-class DiskTreeStore:
-    """Append-only file of encoded trees behind an LRU page cache.
+def _release(file: BinaryIO, owned_path: str | None) -> None:
+    """Close the backing file and delete it when the store created it."""
+    file.close()
+    if owned_path is not None and os.path.exists(owned_path):
+        os.unlink(owned_path)
+
+
+class DiskTreeStore(TreeStore):
+    """A file of encoded trees behind an LRU page cache.
+
+    Freed trees are reclaimed under the in-RAM arena's dead-byte rule:
+    :meth:`compact` moves the live trees to the front of the file,
+    truncates it and drops the page cache.
 
     Parameters
     ----------
     path:
-        Backing file path; a temporary file is created when omitted.
+        Backing file path; a temporary file is created when omitted and
+        deleted on :meth:`close` or, at the latest, when the store is
+        garbage-collected.
     page_size:
         Cache granularity in bytes.
     cache_pages:
@@ -56,18 +73,17 @@ class DiskTreeStore:
             raise ValueError("page_size must be at least 64 bytes")
         if cache_pages < 1:
             raise ValueError("cache_pages must be at least 1")
+        super().__init__()
         self.page_size = page_size
         self.cache_pages = cache_pages
+        owned_path = None
         if path is None:
             handle, path = tempfile.mkstemp(prefix="repro-trees-", suffix=".arena")
             os.close(handle)
-            self._owns_file = True
-        else:
-            self._owns_file = False
+            owned_path = path
         self.path = path
         self._file = open(path, "w+b")
-        self._size = 0
-        self._dead_bytes = 0
+        self._close = weakref.finalize(self, _release, self._file, owned_path)
         self._cache: OrderedDict[int, bytes] = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
@@ -75,38 +91,45 @@ class DiskTreeStore:
     # ------------------------------------------------------------------
     # storage
     # ------------------------------------------------------------------
-    def add(self, encoded: bytes) -> tuple[int, int]:
-        """Append an encoded tree; returns its (offset, width)."""
-        if not encoded:
-            raise ValueError("cannot store an empty encoding")
+    def _append(self, encoded: bytes) -> None:
         offset = self._size
         self._file.seek(offset)
         self._file.write(encoded)
-        self._size += len(encoded)
-        # invalidate any cached page the write touched (append-only, so
+        # invalidate any cached page the write touched (appends only, so
         # only the tail page can be stale)
         first_page = offset // self.page_size
-        last_page = (self._size - 1) // self.page_size
+        last_page = (offset + len(encoded) - 1) // self.page_size
         for page in range(first_page, last_page + 1):
             self._cache.pop(page, None)
-        return offset, len(encoded)
 
-    def free(self, offset: int, width: int) -> None:
-        """Mark a region dead (space is reclaimed only on rewrite)."""
-        self._dead_bytes += width
+    def _relocate(self, moves: list[tuple[int, int, int]], size: int) -> None:
+        file = self._file
+        for old, new, width in moves:
+            if old != new:
+                file.seek(old)
+                region = file.read(width)
+                file.seek(new)
+                file.write(region)
+        file.truncate(size)
+        self._cache.clear()
 
-    def read(self, offset: int, width: int) -> bytes:
-        """Read a tree through the page cache."""
+    def view(self, offset: int, width: int) -> tuple[bytes, int]:
+        """The tree through the page cache: its cached page itself when
+        the tree fits in one, else the joined pages it spans."""
         if offset + width > self._size:
             raise ValueError(f"read past end of store: {offset}+{width}")
         first_page = offset // self.page_size
         last_page = (offset + width - 1) // self.page_size
-        chunks = []
-        for page in range(first_page, last_page + 1):
-            chunks.append(self._page(page))
-        blob = b"".join(chunks)
         start = offset - first_page * self.page_size
-        return blob[start:start + width]
+        if first_page == last_page:
+            return self._page(first_page), start
+        pages = range(first_page, last_page + 1)
+        return b"".join([self._page(page) for page in pages]), start
+
+    def read(self, offset: int, width: int) -> bytes:
+        """Read a tree through the page cache."""
+        buffer, start = self.view(offset, width)
+        return buffer[start:start + width]
 
     def _page(self, page: int) -> bytes:
         cached = self._cache.get(page)
@@ -126,16 +149,6 @@ class DiskTreeStore:
     # accounting
     # ------------------------------------------------------------------
     @property
-    def size(self) -> int:
-        """Total bytes on disk (live + dead)."""
-        return self._size
-
-    @property
-    def live_bytes(self) -> int:
-        """Bytes of live trees on disk."""
-        return self._size - self._dead_bytes
-
-    @property
     def cache_budget_bytes(self) -> int:
         """RAM the cache may occupy."""
         return self.page_size * self.cache_pages
@@ -147,10 +160,7 @@ class DiskTreeStore:
 
     def close(self) -> None:
         """Close (and delete, when owned) the backing file."""
-        if not self._file.closed:
-            self._file.close()
-        if self._owns_file and os.path.exists(self.path):
-            os.unlink(self.path)
+        self._close()
 
     def __enter__(self) -> "DiskTreeStore":
         return self
@@ -159,12 +169,16 @@ class DiskTreeStore:
         self.close()
 
 
-class PagedNonCanonicalEngine(FilterEngine):
-    """The non-canonical engine with subscription trees on disk.
+class PagedNonCanonicalEngine(NonCanonicalEngine):
+    """The non-canonical engine with its subscription trees on disk.
 
-    The association and location tables stay in RAM (they are the
-    per-event entry points); encoded trees are read through the store's
-    LRU cache only when a subscription becomes a candidate.
+    The in-memory engine with ``evaluation="encoded"`` over a
+    :class:`DiskTreeStore`: the association and location tables stay in
+    RAM (they are the per-event entry points), and a candidate's encoded
+    tree is read through the store's LRU cache only when it is
+    evaluated.  Beyond the store it differs in its RAM-only
+    :meth:`memory_breakdown`, :meth:`close` and its offset-ordered batch
+    kernel.
     """
 
     name = "non-canonical-paged"
@@ -177,85 +191,13 @@ class PagedNonCanonicalEngine(FilterEngine):
         indexes: IndexManager | None = None,
         cost_model: CostModel = DEFAULT_COST_MODEL,
     ) -> None:
-        super().__init__(registry=registry, indexes=indexes)
-        self._store = store if store is not None else DiskTreeStore()
-        self._codec = BasicTreeCodec()
-        self._cost_model = cost_model
-        self._association: dict[int, set[int]] = {}
-        self._locations: dict[int, tuple[int, int]] = {}
-        #: subscriptions matching under the empty truth assignment — see
-        #: NonCanonicalEngine; they are unconditional candidates.
-        self._empty_assignment_matchers: set[int] = set()
-        self._subscribers: dict[int, str | None] = {}
-
-    @property
-    def store(self) -> DiskTreeStore:
-        """The disk store (for cache statistics)."""
-        return self._store
-
-    def register(self, subscription: Subscription) -> None:
-        sid = subscription.subscription_id
-        if sid in self._locations:
-            raise ValueError(f"subscription id {sid} already registered")
-        tree = SubscriptionTree.from_expression(
-            subscription.expression, self._register_and_index
+        super().__init__(
+            evaluation="encoded",
+            registry=registry,
+            indexes=indexes,
+            cost_model=cost_model,
         )
-        for pid in tree.predicate_ids():
-            self._association.setdefault(pid, set()).add(sid)
-        self._locations[sid] = self._store.add(self._codec.encode(tree))
-        if tree.evaluate(frozenset()):
-            self._empty_assignment_matchers.add(sid)
-        self._subscribers[sid] = subscription.subscriber
-
-    def _register_and_index(self, predicate) -> int:
-        pid = self.registry.register(predicate)
-        self.indexes.add(predicate, pid)
-        return pid
-
-    def unregister(self, subscription_id: int) -> None:
-        location = self._locations.pop(subscription_id, None)
-        if location is None:
-            raise UnknownSubscriptionError(subscription_id)
-        offset, width = location
-        encoded = self._store.read(offset, width)
-        occurrences = list(self._codec.predicate_ids(encoded, 0, width))
-        for pid in set(occurrences):
-            referencing = self._association.get(pid)
-            if referencing is not None:
-                referencing.discard(subscription_id)
-                if not referencing:
-                    del self._association[pid]
-        for pid in occurrences:
-            self._release_predicate(pid)
-        self._store.free(offset, width)
-        self._empty_assignment_matchers.discard(subscription_id)
-        del self._subscribers[subscription_id]
-
-    @property
-    def subscription_count(self) -> int:
-        return len(self._locations)
-
-    def subscription_ids(self) -> frozenset[int]:
-        return frozenset(self._locations)
-
-    def match_fulfilled(self, fulfilled_ids: AbstractSet[int]) -> set[int]:
-        """Candidate selection in RAM, tree evaluation through the cache."""
-        candidates = join_candidates(
-            self._association, self._empty_assignment_matchers, fulfilled_ids
-        )
-        matched: set[int] = set()
-        read = self._store.read
-        evaluate = self._codec.evaluate
-        for sid in candidates:
-            offset, width = self._locations[sid]
-            encoded = read(offset, width)
-            if evaluate(encoded, 0, width, fulfilled_ids):
-                matched.add(sid)
-        counters = self._counters
-        counters.phase2_calls += 1
-        counters.candidates_probed += len(candidates)
-        counters.matches_found += len(matched)
-        return matched
+        self._store: DiskTreeStore = store if store is not None else DiskTreeStore()
 
     def match_fulfilled_batch(
         self, fulfilled_sets: Sequence[AbstractSet[int]]
@@ -267,7 +209,7 @@ class PagedNonCanonicalEngine(FilterEngine):
         base class's memoized per-assignment fallback.
 
         Candidate sets are computed for the whole batch first, then every
-        distinct candidate tree is read exactly once, in arena-offset
+        distinct candidate tree is read exactly once, in store-offset
         order — sequential page access, so a page shared by several
         candidates (or several events) enters the LRU cache once per
         batch instead of once per use.  The decoded bytes are held only
@@ -277,9 +219,7 @@ class PagedNonCanonicalEngine(FilterEngine):
         per_event: list[set[int]] = []
         needed: set[int] = set()
         for fulfilled_ids in fulfilled_sets:
-            candidates = join_candidates(
-                self._association, self._empty_assignment_matchers, fulfilled_ids
-            )
+            candidates = self.candidates_for(fulfilled_ids)
             per_event.append(candidates)
             needed.update(candidates)
         locations = self._locations
@@ -313,15 +253,9 @@ class PagedNonCanonicalEngine(FilterEngine):
         :attr:`store`.``live_bytes``; they do not count against the
         machine's memory budget, which is the whole point of §5.
         """
-        model = self._cost_model
-        reference_count = sum(len(s) for s in self._association.values())
-        return {
-            "page_cache": self._store.cache_budget_bytes,
-            "association_table": model.association_table_bytes(
-                len(self._association), reference_count
-            ),
-            "location_table": model.location_table_bytes(len(self._locations)),
-        }
+        breakdown = dict(super().memory_breakdown())
+        del breakdown["subscription_trees"]
+        return {"page_cache": self._store.cache_budget_bytes, **breakdown}
 
     def close(self) -> None:
         """Release the backing file."""

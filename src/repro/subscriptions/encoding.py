@@ -1,4 +1,4 @@
-"""Byte-level subscription tree codecs and the tree arena.
+"""Byte-level subscription tree codecs and the tree store protocol.
 
 The paper's prototype encodes subscription trees "on a byte level, e.g.,
 to encode a Boolean operator we require one byte, also the number of
@@ -27,6 +27,7 @@ set equal to the arena size.
 
 from __future__ import annotations
 
+import abc
 from typing import AbstractSet, Callable, Iterator
 
 from .tree import NodeKind, SubscriptionTree, TreeNode
@@ -389,37 +390,40 @@ CODECS: dict[str, Callable[[], TreeCodec]] = {
 }
 
 
-class TreeArena:
-    """A contiguous byte arena holding all encoded subscription trees.
+class TreeStore(abc.ABC):
+    """Where encoded subscription trees live: the engine's store protocol.
 
     The engine's subscription location table maps ``id(s)`` to
-    ``loc(s)`` — an ``(offset, width)`` pair into this arena.  The arena
-    supports freeing (for unsubscription) by tracking dead bytes and
-    compacting when fragmentation passes a threshold.
+    ``loc(s)`` — an ``(offset, width)`` pair into the store.  A store
+    appends trees (:meth:`add`), hands one back for evaluation
+    (:meth:`view`), marks freed trees dead (:meth:`free`) and, once dead
+    bytes pass the compaction threshold (:meth:`needs_compaction`),
+    rewrites itself without them (:meth:`compact`), returning the
+    relocations the engine applies to its location table.
+
+    This base keeps the bookkeeping every store shares — the live map
+    and the dead-byte rule; a subclass says where the bytes live:
+    :class:`TreeArena` in RAM, :class:`repro.core.paged.DiskTreeStore`
+    in a file.
     """
 
     def __init__(self, *, compaction_threshold: float = 0.5) -> None:
         if not 0.0 < compaction_threshold <= 1.0:
             raise ValueError("compaction_threshold must be in (0, 1]")
-        self._buffer = bytearray()
+        self._size = 0
         self._dead_bytes = 0
         self._live: dict[int, int] = {}  # offset -> width
         self._compaction_threshold = compaction_threshold
 
     @property
-    def buffer(self) -> bytearray:
-        """The raw arena bytes (live and dead regions)."""
-        return self._buffer
-
-    @property
     def size(self) -> int:
-        """Total arena size in bytes, including dead regions."""
-        return len(self._buffer)
+        """Total store size in bytes, including dead regions."""
+        return self._size
 
     @property
     def live_bytes(self) -> int:
         """Bytes occupied by live (not yet freed) trees."""
-        return len(self._buffer) - self._dead_bytes
+        return self._size - self._dead_bytes
 
     @property
     def dead_bytes(self) -> int:
@@ -430,8 +434,9 @@ class TreeArena:
         """Append an encoded tree; return its ``(offset, width)`` location."""
         if not encoded:
             raise ValueError("cannot store an empty encoding")
-        offset = len(self._buffer)
-        self._buffer += encoded
+        offset = self._size
+        self._append(encoded)
+        self._size += len(encoded)
         self._live[offset] = len(encoded)
         return offset, len(encoded)
 
@@ -444,13 +449,13 @@ class TreeArena:
         self._dead_bytes += width
 
     def needs_compaction(self) -> bool:
-        """Whether dead space exceeds the configured fraction of the arena."""
-        if not self._buffer:
+        """Whether dead space exceeds the configured fraction of the store."""
+        if not self._size:
             return False
-        return self._dead_bytes / len(self._buffer) > self._compaction_threshold
+        return self._dead_bytes / self._size > self._compaction_threshold
 
     def compact(self) -> dict[int, int]:
-        """Rewrite the arena without dead regions.
+        """Rewrite the store without dead regions.
 
         Returns
         -------
@@ -458,14 +463,61 @@ class TreeArena:
             Mapping from old offset to new offset for every live tree;
             the caller (the engine) must rewrite its location table.
         """
-        new_buffer = bytearray()
-        relocations: dict[int, int] = {}
+        moves: list[tuple[int, int, int]] = []
+        size = 0
         for offset in sorted(self._live):
             width = self._live[offset]
-            relocations[offset] = len(new_buffer)
-            new_buffer += self._buffer[offset:offset + width]
-        self._buffer = new_buffer
-        self._live = {relocations[old]: w for old, w in
-                      ((old, self._live[old]) for old in relocations)}
+            moves.append((offset, size, width))
+            size += width
+        self._relocate(moves, size)
+        self._live = {new: width for _, new, width in moves}
+        self._size = size
         self._dead_bytes = 0
-        return relocations
+        return {old: new for old, new, _ in moves}
+
+    @abc.abstractmethod
+    def view(self, offset: int, width: int) -> tuple[bytes | bytearray, int]:
+        """The tree at ``(offset, width)`` as a ``(buffer, start)`` pair.
+
+        Codecs evaluate ``buffer[start:start + width]`` in place, so a
+        store that holds its bytes in RAM hands out its own buffer
+        without copying.
+        """
+
+    @abc.abstractmethod
+    def _append(self, encoded: bytes) -> None:
+        """Write ``encoded`` at offset :attr:`size`."""
+
+    @abc.abstractmethod
+    def _relocate(self, moves: list[tuple[int, int, int]], size: int) -> None:
+        """Move each live ``(old, new, width)`` region (ascending, so
+        ``new <= old``) and cut the store to ``size`` bytes."""
+
+
+class TreeArena(TreeStore):
+    """A contiguous in-RAM byte arena holding all encoded subscription trees.
+
+    The non-canonical engine's default :class:`TreeStore`; :meth:`view`
+    hands out the arena buffer itself.
+    """
+
+    def __init__(self, *, compaction_threshold: float = 0.5) -> None:
+        super().__init__(compaction_threshold=compaction_threshold)
+        self._buffer = bytearray()
+
+    @property
+    def buffer(self) -> bytearray:
+        """The raw arena bytes (live and dead regions)."""
+        return self._buffer
+
+    def view(self, offset: int, width: int) -> tuple[bytearray, int]:
+        return self._buffer, offset
+
+    def _append(self, encoded: bytes) -> None:
+        self._buffer += encoded
+
+    def _relocate(self, moves: list[tuple[int, int, int]], size: int) -> None:
+        buffer = self._buffer
+        self._buffer = bytearray().join(
+            buffer[old:old + width] for old, _, width in moves
+        )

@@ -7,6 +7,9 @@ conftest importable under its pytest-private module name.
 
 from __future__ import annotations
 
+import gc
+import tempfile
+
 import pytest
 
 from helpers import make_all_engines
@@ -19,6 +22,24 @@ from repro.workloads import (
 )
 
 __all__ = ["make_all_engines"]
+
+
+@pytest.fixture(scope="session", autouse=True)
+def tree_store_files_are_removed(tmp_path_factory):
+    """Fail the session if a disk tree store leaves its owned file behind.
+
+    Temporary files go to a session directory while the suite runs; a
+    paged engine dropped without ``close()`` must still remove its
+    ``repro-trees-*.arena`` file once collected.
+    """
+    directory = tmp_path_factory.mktemp("tempfiles")
+    previous = tempfile.tempdir
+    tempfile.tempdir = str(directory)
+    yield
+    tempfile.tempdir = previous
+    gc.collect()
+    leaked = sorted(path.name for path in directory.glob("repro-trees-*.arena"))
+    assert not leaked, f"disk tree store files left behind: {leaked}"
 
 
 @pytest.fixture

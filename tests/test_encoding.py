@@ -183,6 +183,14 @@ class TestTreeArena:
         with pytest.raises(ValueError):
             TreeArena().add(b"")
 
+    def test_view_hands_out_the_buffer_without_copying(self):
+        arena = TreeArena()
+        arena.add(b"abcd")
+        location = arena.add(b"efgh")
+        buffer, start = arena.view(*location)
+        assert buffer is arena.buffer
+        assert bytes(buffer[start:start + 4]) == b"efgh"
+
     def test_live_and_dead_accounting(self):
         arena = TreeArena()
         loc1 = arena.add(b"aaaa")

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import os
+import random
 
 import pytest
 
@@ -11,8 +13,11 @@ from repro import (
     DiskTreeStore,
     PagedNonCanonicalEngine,
     UnknownSubscriptionError,
+    build_engine,
 )
 from repro.events import Event
+from repro.indexes import IndexManager
+from repro.predicates import PredicateRegistry
 from repro.subscriptions import Subscription
 from repro.workloads import PaperSubscriptionGenerator
 
@@ -122,6 +127,38 @@ class TestDiskTreeStore:
         assert store.live_bytes == 4
         store.close()
 
+    def test_dropped_store_removes_its_file(self):
+        store = DiskTreeStore()
+        path = store.path
+        store.add(b"abcd")
+        del store
+        gc.collect()
+        assert not os.path.exists(path)
+
+    def test_dropped_engine_removes_its_file(self):
+        engine = build_engine("paged")
+        path = engine.store.path
+        engine.register(sub("a = 1"))
+        del engine
+        gc.collect()
+        assert not os.path.exists(path)
+
+    def test_compact_moves_live_trees_to_the_front(self, tmp_path):
+        store = DiskTreeStore(str(tmp_path / "arena"), page_size=64, cache_pages=2)
+        first = store.add(b"a" * 40)
+        second = store.add(b"b" * 40)
+        third = store.add(b"c" * 40)
+        store.read(*third)  # cache the page compaction rewrites
+        store.free(*first)
+        store.free(*second)
+        assert store.needs_compaction()
+        relocations = store.compact()
+        assert relocations == {third[0]: 0}
+        assert store.size == 40
+        assert os.path.getsize(store.path) == 40
+        assert store.read(0, 40) == b"c" * 40
+        store.close()
+
     def test_context_manager(self):
         with DiskTreeStore() as store:
             path = store.path
@@ -198,4 +235,47 @@ class TestPagedEngine:
         for _ in range(50):
             assert hot.subscription_id in engine.match_fulfilled(fulfilled)
         assert engine.store.hit_rate() > 0.9
+        engine.close()
+
+    def test_churn_reclaims_the_file_and_keeps_matches(self, tmp_path):
+        """Freed trees leave the file under the arena's dead-byte rule,
+        and the relocations keep every answer equal to the oracle's."""
+        registry = PredicateRegistry()
+        indexes = IndexManager()
+        store = DiskTreeStore(
+            str(tmp_path / "arena"), page_size=256, cache_pages=4
+        )
+        engine = PagedNonCanonicalEngine(
+            store=store, registry=registry, indexes=indexes
+        )
+        oracle = BruteForceEngine(registry=registry, indexes=indexes)
+        generator = PaperSubscriptionGenerator(
+            predicates_per_subscription=6, seed=5
+        )
+        rng = random.Random(5)
+        live = []
+        for _ in range(10):
+            for s in generator.subscriptions(100):
+                engine.register(s)
+                oracle.register(s)
+                live.append(s)
+            rng.shuffle(live)
+            for s in live[:90]:
+                engine.unregister(s.subscription_id)
+                oracle.unregister(s.subscription_id)
+            del live[:90]
+            assert store.size <= 2 * store.live_bytes
+            fulfilled_sets = [
+                {
+                    registry.identifier(p)
+                    for s in rng.sample(live, 3)
+                    for p in s.expression.unique_predicates()
+                }
+                | set(rng.sample(range(1, 2 * len(registry)), 20))
+                for _ in range(8)
+            ]
+            expected = [oracle.match_fulfilled(f) for f in fulfilled_sets]
+            assert all(expected)
+            assert [engine.match_fulfilled(f) for f in fulfilled_sets] == expected
+            assert engine.match_fulfilled_batch(fulfilled_sets) == expected
         engine.close()

@@ -15,8 +15,8 @@ from repro.subscriptions import Subscription
 from repro.workloads import PaperSubscriptionGenerator
 
 
-def sub(text, subscriber=None):
-    return Subscription.from_text(text, subscriber=subscriber)
+def sub(text):
+    return Subscription.from_text(text)
 
 
 ENGINE_CLASSES = [CountingEngine, CountingVariantEngine]
@@ -87,12 +87,6 @@ class TestSharedBehaviour:
         assert engine.match(Event({"a": 1})) == set()
         assert engine.match(Event({"b": 2})) == set()  # would match if hits leaked
         assert engine.match(Event({"a": 1, "b": 2})) == {s.subscription_id}
-
-    def test_subscriber_lookup(self, engine_class):
-        engine = engine_class()
-        s = sub("a = 1", subscriber="bob")
-        engine.register(s)
-        assert engine.subscriber_of(s.subscription_id) == "bob"
 
     def test_unregister_unknown_raises(self, engine_class):
         with pytest.raises(UnknownSubscriptionError):

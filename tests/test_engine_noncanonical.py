@@ -10,8 +10,8 @@ from repro.subscriptions import Subscription, parse
 from repro.workloads import PaperSubscriptionGenerator
 
 
-def sub(text, subscriber=None):
-    return Subscription.from_text(text, subscriber=subscriber)
+def sub(text):
+    return Subscription.from_text(text)
 
 
 class TestRegistration:
@@ -52,14 +52,6 @@ class TestRegistration:
         assert len(engine.registry) == 3  # a=1 deduplicated
         matched = engine.match(Event({"a": 1, "b": 2}))
         assert matched == {first.subscription_id, second.subscription_id}
-
-    def test_subscriber_lookup(self):
-        engine = NonCanonicalEngine()
-        s = sub("a = 1", subscriber="alice")
-        engine.register(s)
-        assert engine.subscriber_of(s.subscription_id) == "alice"
-        with pytest.raises(UnknownSubscriptionError):
-            engine.subscriber_of(99999)
 
     def test_invalid_codec_and_evaluation_rejected(self):
         with pytest.raises(ValueError):

@@ -81,12 +81,6 @@ class TestBasics:
         with pytest.raises(ValueError):
             engine.register(s)
 
-    def test_subscriber_lookup(self):
-        engine = MatchingTreeEngine()
-        s = Subscription.from_text("a = 1", subscriber="zoe")
-        engine.register(s)
-        assert engine.subscriber_of(s.subscription_id) == "zoe"
-
 
 class TestSingleStepMatching:
     def test_single_step_equals_two_step(self):
