@@ -7,7 +7,7 @@ Two structural claims, counter-asserted rather than timed:
   o(N²) *exact* ``covers()`` tests on corpora where the prefilters
   apply (band-structured subscriptions): the index counts its exact
   tests and the bound is linear with a small constant, versus ~N²/2 for
-  the all-pairs scan ``prune_covered`` used to run;
+  an all-pairs scan;
 * **the network sweep routes** — the covering overlays of
   :func:`~repro.experiments.harness.run_network_sweep` carry a nonzero
   suppression ratio on every topology, at least

@@ -97,7 +97,6 @@ from .subscriptions import (
     canonical_dnf,
     covers,
     parse,
-    simplify,
     to_dnf,
 )
 
@@ -159,7 +158,6 @@ __all__ = [
     "Subscription",
     "SubscriptionSyntaxError",
     "parse",
-    "simplify",
     "to_dnf",
     "canonical_dnf",
     "covers",

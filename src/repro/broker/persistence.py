@@ -62,23 +62,29 @@ def deserialize_subscription(line: str) -> Subscription:
     if not isinstance(payload, dict):
         raise PersistenceError(f"expected an object, got {payload!r}")
     version = payload.get("v")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise PersistenceError(f"unsupported format version {version!r}")
     missing = {"id", "expression"} - set(payload)
     if missing:
         raise PersistenceError(f"missing fields: {sorted(missing)}")
+    identifier = payload["id"]
+    if type(identifier) is not int or identifier <= 0:
+        raise PersistenceError(f"invalid subscription id {identifier!r}")
+    subscriber = payload.get("subscriber")
+    if subscriber is not None and not isinstance(subscriber, str):
+        raise PersistenceError(f"invalid subscriber {subscriber!r}")
+    text = payload["expression"]
+    if not isinstance(text, str):
+        raise PersistenceError(f"expression is not a string: {text!r}")
     try:
-        expression = parse(payload["expression"])
+        expression = parse(text)
     except ValueError as error:
         raise PersistenceError(
-            f"unparseable expression {payload['expression']!r}: {error}"
+            f"unparseable expression {text!r}: {error}"
         ) from None
-    identifier = payload["id"]
-    if not isinstance(identifier, int) or identifier <= 0:
-        raise PersistenceError(f"invalid subscription id {identifier!r}")
     return Subscription(
         expression=expression,
-        subscriber=payload.get("subscriber"),
+        subscriber=subscriber,
         subscription_id=identifier,
     )
 
@@ -96,17 +102,24 @@ def dump_subscriptions(
 
 
 def load_subscriptions(path: str | Path) -> list[Subscription]:
-    """Read subscriptions back from ``path``."""
+    """Read subscriptions back from ``path``; ids must be distinct."""
     subscriptions = []
+    seen: set[int] = set()
     with open(path, encoding="utf-8") as handle:
         for number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                subscriptions.append(deserialize_subscription(line))
+                subscription = deserialize_subscription(line)
+                if subscription.subscription_id in seen:
+                    raise PersistenceError(
+                        f"duplicate subscription id {subscription.subscription_id}"
+                    )
             except PersistenceError as error:
                 raise PersistenceError(f"line {number}: {error}") from None
+            seen.add(subscription.subscription_id)
+            subscriptions.append(subscription)
     return subscriptions
 
 
@@ -119,9 +132,26 @@ def restore_broker(broker: Broker, path: str | Path) -> int:
     """Register every persisted subscription with ``broker``.
 
     Callbacks are not persisted (they are process-local callables);
-    subscribers re-attach by id after a restore.
+    subscribers re-attach by id after a restore.  The restore is all or
+    nothing: the whole file is checked, against the broker's live ids
+    too, before anything registers, and a subscription the engine
+    rejects unregisters the ones restored before it.
     """
     subscriptions = load_subscriptions(path)
+    live = broker.engine.subscription_ids()
     for subscription in subscriptions:
-        broker.subscribe(subscription)
+        if subscription.subscription_id in live:
+            raise PersistenceError(
+                f"subscription id {subscription.subscription_id} is already "
+                f"registered at broker {broker.name!r}"
+            )
+    restored: list[int] = []
+    try:
+        for subscription in subscriptions:
+            broker.subscribe(subscription)
+            restored.append(subscription.subscription_id)
+    except Exception:
+        for subscription_id in restored:
+            broker.unsubscribe(subscription_id)
+        raise
     return len(subscriptions)

@@ -147,10 +147,6 @@ class RoutingTable:
             mapping.update(index.covered_mapping())
         return mapping
 
-    def index_for(self, direction: str) -> CoveringIndex | None:
-        """The covering poset of one direction (None when untouched)."""
-        return self._indexes.get(direction)
-
     def stats(self) -> RoutingTableStats:
         """Current table shape, for reports and invariant checks."""
         suppressed = sum(

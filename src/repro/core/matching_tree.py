@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import AbstractSet, Mapping
 
-from ..events.event import Event
 from ..indexes.manager import IndexManager
 from ..memory.cost_model import DEFAULT_COST_MODEL, CostModel
 from ..predicates.registry import PredicateRegistry
@@ -229,30 +228,6 @@ class MatchingTreeEngine(FilterEngine):
         counters.phase2_calls += 1
         counters.candidates_probed += visited  # tree nodes walked
         counters.matches_found += len(matched)
-        return matched
-
-    def match_single_step(self, event: Event) -> set[int]:
-        """One-step multi-dimensional matching, straight off the event.
-
-        Unlike :meth:`match` (which reuses the shared phase-1 indexes for
-        comparability with the other engines), this walks the tree
-        evaluating edge predicates against the event directly — "one-
-        dimensional index structures need two steps to determine matching
-        subscriptions, multi-dimensional ones allow filtering in one
-        step" (§2.1).
-        """
-        matched: set[int] = set()
-        predicate_of = self.registry.predicate
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.results:
-                matched.update(node.results)
-            if node.star is not None:
-                stack.append(node.star)
-            for key, child in node.edges.items():
-                if all(predicate_of(pid).matches(event) for pid in key):
-                    stack.append(child)
         return matched
 
     # ------------------------------------------------------------------

@@ -36,6 +36,7 @@ from ..subscriptions.compiler import (
 )
 from ..subscriptions.encoding import (
     BasicTreeCodec,
+    EncodingError,
     TreeArena,
     TreeStore,
     VarintTreeCodec,
@@ -126,9 +127,17 @@ class NonCanonicalEngine(FilterEngine):
         )
         if self._selectivity is not None:
             tree = tree.reordered_by_selectivity(self._selectivity)
+        try:
+            encoded = self._codec.encode(tree)
+        except EncodingError:
+            # nothing references the tree yet: drop the one registry
+            # reference per leaf that from_expression took
+            for pid in tree.root.predicate_ids():
+                self._release_predicate(pid)
+            raise
         for pid in tree.predicate_ids():
             self._association.setdefault(pid, set()).add(sid)
-        self._locations[sid] = self._store.add(self._codec.encode(tree))
+        self._locations[sid] = self._store.add(encoded)
         if self._evaluation == "compiled":
             self._compiled[sid] = compile_tree(tree.root)
         if tree.evaluate(frozenset()):

@@ -15,7 +15,6 @@ from .harness import (
     SweepPoint,
     SweepResult,
     ThroughputPoint,
-    crossover_subscriptions,
     growth_ratio,
     least_squares_slope,
     measure_throughput,
@@ -33,11 +32,6 @@ from .parameters import (
     PaperParameters,
     ScaleConfig,
 )
-from .profiling import (
-    MatchingProfile,
-    engine_comparison_summary,
-    profile_matching,
-)
 from .report import ascii_plot, format_bytes, format_seconds, format_table
 
 __all__ = [
@@ -47,7 +41,6 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "ThroughputPoint",
-    "crossover_subscriptions",
     "growth_ratio",
     "least_squares_slope",
     "measure_throughput",
@@ -64,9 +57,6 @@ __all__ = [
     "SCALES",
     "PaperParameters",
     "ScaleConfig",
-    "MatchingProfile",
-    "engine_comparison_summary",
-    "profile_matching",
     "ascii_plot",
     "format_bytes",
     "format_seconds",

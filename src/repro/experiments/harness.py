@@ -15,8 +15,8 @@ Reproduces the paper's measurement protocol (§4):
   engine's *measured* memory footprint, which reproduces the paper's
   sharp memory-exhaustion bends.
 
-Shape-analysis helpers (least-squares slope, growth ratio, crossover
-detection) back the claims benchmarks C2-C4.
+Shape-analysis helpers (least-squares slope, growth ratio, normalized
+slope) back the claims benchmarks C2-C4.
 """
 
 from __future__ import annotations
@@ -105,10 +105,6 @@ class EngineSweep:
         if adjusted:
             return [(p.subscriptions, p.seconds) for p in self.points]
         return [(p.subscriptions, p.raw_seconds) for p in self.points]
-
-    def memory_series(self) -> list[tuple[float, float]]:
-        """(subscriptions, bytes) pairs."""
-        return [(p.subscriptions, p.memory_bytes) for p in self.points]
 
     def first_thrashing_point(self) -> SweepPoint | None:
         """The first point where the machine model reports swapping."""
@@ -896,32 +892,3 @@ def normalized_slope(series: Sequence[tuple[float, float]]) -> float:
     scaled = [(x / x_max, y / y_max) for x, y in ordered]
     slope, _ = least_squares_slope(scaled)
     return slope
-
-
-def crossover_subscriptions(
-    slow_at_scale: Sequence[tuple[float, float]],
-    fast_at_scale: Sequence[tuple[float, float]],
-) -> float | None:
-    """x position where ``fast_at_scale`` becomes cheaper, or ``None``.
-
-    Both series must share x positions (the harness guarantees it).
-    Linear interpolation between the two bracketing sweep points —
-    mirrors the paper's "except for small subscription quantities"
-    observation about where counting stops winning.
-    """
-    a = sorted(slow_at_scale)
-    b = sorted(fast_at_scale)
-    if [x for x, _ in a] != [x for x, _ in b]:
-        raise ValueError("series are not aligned on x")
-    deltas = [
-        (x, y_slow - y_fast)  # positive once the fast engine wins
-        for (x, y_slow), (_, y_fast) in zip(a, b)
-    ]
-    if deltas[0][1] >= 0:
-        return deltas[0][0]  # fast engine wins from the start
-    for (x0, d0), (x1, d1) in zip(deltas, deltas[1:]):
-        if d0 < 0 <= d1:
-            span = d1 - d0
-            t = -d0 / span if span else 0.0
-            return x0 + t * (x1 - x0)
-    return None

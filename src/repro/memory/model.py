@@ -91,10 +91,6 @@ class SimulatedMachine:
         """Matching time after applying the swap model."""
         return seconds * self.slowdown_factor(working_set_bytes)
 
-    def capacity_in_bytes(self) -> int:
-        """Alias for :attr:`available_bytes` (readability in experiments)."""
-        return self.available_bytes
-
 
 #: The machine of paper Table 1.
 PAPER_MACHINE = SimulatedMachine()

@@ -15,7 +15,6 @@ from .covering import (
     covers,
     dnf_covers,
     predicate_covers,
-    prune_covered,
 )
 from .covering_index import (
     AddOutcome,
@@ -28,7 +27,6 @@ from .compiler import (
     MODE_DNF,
     MODE_GROUPS,
     compile_tree,
-    evaluate_compiled,
 )
 from .encoding import (
     CODECS,
@@ -49,13 +47,10 @@ from .normal_forms import (
     dnf_cache_stats,
     dnf_clause_count,
     dnf_literal_count,
-    to_cnf,
     to_dnf,
     to_nnf,
-    transformation_blowup,
 )
 from .parser import SubscriptionSyntaxError, parse
-from .simplify import is_conjunctive, is_dnf_shaped, simplify
 from .subscription import Subscription, next_subscription_id
 from .tree import NodeKind, SubscriptionTree, TreeNode
 
@@ -72,7 +67,6 @@ __all__ = [
     "covers",
     "dnf_covers",
     "predicate_covers",
-    "prune_covered",
     "AddOutcome",
     "CoveringIndex",
     "RemoveOutcome",
@@ -81,7 +75,6 @@ __all__ = [
     "MODE_DNF",
     "MODE_GROUPS",
     "compile_tree",
-    "evaluate_compiled",
     "CODECS",
     "BasicTreeCodec",
     "CorruptEncodingError",
@@ -98,15 +91,10 @@ __all__ = [
     "dnf_cache_stats",
     "dnf_clause_count",
     "dnf_literal_count",
-    "to_cnf",
     "to_dnf",
     "to_nnf",
-    "transformation_blowup",
     "SubscriptionSyntaxError",
     "parse",
-    "is_conjunctive",
-    "is_dnf_shaped",
-    "simplify",
     "Subscription",
     "next_subscription_id",
     "NodeKind",

@@ -99,28 +99,3 @@ def _closure(node: TreeNode) -> Callable[[AbstractSet[int]], bool]:
     if node.kind is NodeKind.AND:
         return lambda fulfilled: all(child(fulfilled) for child in children)
     return lambda fulfilled: any(child(fulfilled) for child in children)
-
-
-def evaluate_compiled(
-    compiled: CompiledTree, fulfilled_ids: AbstractSet[int]
-) -> bool:
-    """Evaluate a compiled tree (reference implementation for tests).
-
-    The engine inlines these branches in its matching loop; this function
-    states the semantics once and is what property tests check against
-    the AST and the byte codec.
-    """
-    mode, payload = compiled
-    if mode == MODE_ANY:
-        return not payload.isdisjoint(fulfilled_ids)  # type: ignore[union-attr]
-    if mode == MODE_GROUPS:
-        for group in payload:  # type: ignore[union-attr]
-            if group.isdisjoint(fulfilled_ids):
-                return False
-        return True
-    if mode == MODE_DNF:
-        for group in payload:  # type: ignore[union-attr]
-            if group <= fulfilled_ids:
-                return True
-        return False
-    return payload(fulfilled_ids)  # type: ignore[operator]

@@ -222,34 +222,3 @@ def dnf_covers(
         ):
             return False
     return True
-
-
-def prune_covered(
-    expressions: dict[int, BooleanExpression],
-    *,
-    max_clauses: int = 4_096,
-) -> tuple[set[int], dict[int, int]]:
-    """Split a subscription set into maximal and covered members.
-
-    Returns
-    -------
-    (maximal_ids, covered_by)
-        ``maximal_ids`` — ids whose expressions are not covered by any
-        other member; ``covered_by`` — for each covered id, the id of
-        one covering member (itself maximal).
-
-    Routing tables keep only the maximal set; the mapping supports
-    reinstating covered members when their coverer is removed.
-
-    Implemented on the incremental
-    :class:`~repro.subscriptions.covering_index.CoveringIndex` — ids are
-    inserted in sorted order and the index's poset is the answer, so the
-    batch and incremental paths cannot drift apart.
-    """
-    # local import: covering_index builds on this module's primitives
-    from .covering_index import CoveringIndex
-
-    index = CoveringIndex(max_clauses=max_clauses)
-    for identifier in sorted(expressions):
-        index.add(identifier, expressions[identifier])
-    return set(index.maximal_ids()), dict(index.covered_mapping())

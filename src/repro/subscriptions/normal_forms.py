@@ -3,9 +3,9 @@
 This module implements the *canonical pipeline* the paper argues against:
 rewriting arbitrary Boolean subscriptions into disjunctive normal form
 (DNF) so that each disjunct can be registered as a separate conjunctive
-subscription with a counting-style engine.  It also provides CNF (for
-completeness) and non-materializing blow-up accounting used by the
-theoretical claims benchmarks.
+subscription with a counting-style engine.  It also provides
+non-materializing blow-up accounting used by the theoretical claims
+benchmarks.
 
 The blow-up is worst-case exponential: the paper's workload — an AND of
 ``k`` binary ORs over ``|p| = 2k`` predicates — expands into ``2**k``
@@ -82,10 +82,6 @@ class Clause:
     def evaluate_conjunctive(self, fulfilled: Callable[[Predicate], bool]) -> bool:
         """Evaluate the clause as a conjunction (DNF semantics)."""
         return all(lit.evaluate(fulfilled) for lit in self.literals)
-
-    def evaluate_disjunctive(self, fulfilled: Callable[[Predicate], bool]) -> bool:
-        """Evaluate the clause as a disjunction (CNF semantics)."""
-        return any(lit.evaluate(fulfilled) for lit in self.literals)
 
     def __len__(self) -> int:
         return len(self.literals)
@@ -287,26 +283,6 @@ def _dnf_clauses(
     raise TypeError(f"expression is not in NNF: {node!r}")
 
 
-def to_cnf(
-    expression: BooleanExpression,
-    *,
-    max_clauses: int = 1_000_000,
-    complement_operators: bool = False,
-) -> list[Clause]:
-    """Transform into conjunctive normal form (an AND of disjunctive clauses).
-
-    Provided for completeness of the canonical pipeline; the paper's
-    baselines consume DNF.
-    """
-    nnf = to_nnf(expression, complement_operators=complement_operators)
-    negated_clauses = _dnf_clauses(
-        _nnf(nnf, negate=True, complement=complement_operators), max_clauses
-    )
-    return [
-        Clause(lit.complement() for lit in clause) for clause in negated_clauses
-    ]
-
-
 # ----------------------------------------------------------------------
 # canonical-DNF cache
 # ----------------------------------------------------------------------
@@ -458,13 +434,3 @@ def _count_pair(node: BooleanExpression) -> tuple[int, int]:
             literals += l * others
         return (total_clauses, literals)
     raise TypeError(f"expression is not in NNF: {node!r}")
-
-
-def transformation_blowup(expression: BooleanExpression) -> float:
-    """Ratio of post-DNF literal occurrences to original predicate occurrences.
-
-    The paper's core scalability argument: this ratio is ``2**(|p|/2 - 1)``
-    on the evaluation workload and unbounded in general.
-    """
-    original = sum(1 for _ in expression.predicates())
-    return dnf_literal_count(expression) / original

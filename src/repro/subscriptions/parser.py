@@ -257,8 +257,14 @@ def parse(text: str) -> BooleanExpression:
     Raises
     ------
     SubscriptionSyntaxError
-        On malformed input, with the offending offset.
+        On malformed input, with the offending offset, and on nesting
+        deeper than the interpreter's recursion limit allows.
     """
     if not isinstance(text, str) or not text.strip():
         raise SubscriptionSyntaxError("empty subscription", 0, text or "")
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise SubscriptionSyntaxError(
+            "expression nested too deeply", 0, text
+        ) from None

@@ -1,11 +1,6 @@
 """Workload generation: paper-shaped subscriptions, events, scenarios."""
 
-from .distributions import (
-    make_rng,
-    sample_without_replacement,
-    zipf_choice,
-    zipf_weights,
-)
+from .distributions import make_rng, zipf_weights
 from .generator import (
     EventGenerator,
     FulfilledPredicateSampler,
@@ -15,14 +10,12 @@ from .generator import (
 from .scenarios import (
     AUCTION_SCHEMA,
     HOTKEY_SCHEMA,
-    NEWS_SCHEMA,
     STOCK_SCHEMA,
     STOCK_SYMBOLS,
     TOPOLOGY_BUILDERS,
     AuctionScenario,
     ChurnScenario,
     NetworkChurnScenario,
-    NewsScenario,
     SkewedHotKeyScenario,
     StockScenario,
     Topology,
@@ -35,8 +28,6 @@ from .scenarios import (
 
 __all__ = [
     "make_rng",
-    "sample_without_replacement",
-    "zipf_choice",
     "zipf_weights",
     "EventGenerator",
     "FulfilledPredicateSampler",
@@ -44,14 +35,12 @@ __all__ = [
     "PaperSubscriptionGenerator",
     "AUCTION_SCHEMA",
     "HOTKEY_SCHEMA",
-    "NEWS_SCHEMA",
     "STOCK_SCHEMA",
     "STOCK_SYMBOLS",
     "TOPOLOGY_BUILDERS",
     "AuctionScenario",
     "ChurnScenario",
     "NetworkChurnScenario",
-    "NewsScenario",
     "SkewedHotKeyScenario",
     "StockScenario",
     "Topology",

@@ -8,9 +8,6 @@ and EXPERIMENTS.md results can be regenerated bit-identically.
 from __future__ import annotations
 
 import random
-from typing import Sequence, TypeVar
-
-T = TypeVar("T")
 
 
 def make_rng(seed: int | None) -> random.Random:
@@ -32,21 +29,3 @@ def zipf_weights(n: int, skew: float = 1.0) -> list[float]:
     raw = [1.0 / (rank ** skew) for rank in range(1, n + 1)]
     total = sum(raw)
     return [w / total for w in raw]
-
-
-def zipf_choice(
-    rng: random.Random, items: Sequence[T], weights: Sequence[float]
-) -> T:
-    """Draw one item under precomputed (e.g. Zipf) weights."""
-    return rng.choices(items, weights=weights, k=1)[0]
-
-
-def sample_without_replacement(
-    rng: random.Random, population: Sequence[T], count: int
-) -> list[T]:
-    """``count`` distinct items; raises if the population is too small."""
-    if count > len(population):
-        raise ValueError(
-            f"cannot draw {count} distinct items from {len(population)}"
-        )
-    return rng.sample(population, count)

@@ -3,12 +3,11 @@
 The paper's introduction motivates filtering on "less equipped machines,
 such as laptops and mobile devices" in peer-to-peer settings.  These
 scenarios provide realistic schemas, subscription templates and event
-streams for three such domains:
+streams for two such domains:
 
 * **stock ticker** — trade events; subscriptions combine price bands,
   symbols and volumes with real Boolean structure;
-* **auction monitor** — bid events; sniping/outbid alert subscriptions;
-* **news alerts** — headline events with string predicates.
+* **auction monitor** — bid events; sniping/outbid alert subscriptions.
 
 Two further scenarios exist to stress the **sharded runtime** rather
 than to model a domain:
@@ -61,16 +60,6 @@ AUCTION_SCHEMA = EventSchema(
         AttributeSpec("bid", AttributeType.FLOAT, required=True),
         AttributeSpec("bidder", AttributeType.STRING, required=True),
         AttributeSpec("seconds_left", AttributeType.INT),
-    ],
-)
-
-NEWS_SCHEMA = EventSchema(
-    "headline",
-    [
-        AttributeSpec("source", AttributeType.STRING, required=True),
-        AttributeSpec("topic", AttributeType.STRING, required=True),
-        AttributeSpec("headline", AttributeType.STRING, required=True),
-        AttributeSpec("urgency", AttributeType.INT),
     ],
 )
 
@@ -156,50 +145,6 @@ class AuctionScenario:
         text = (
             f"item = '{item}' and (bid > {ceiling} "
             f"or (seconds_left < 120 and bid > {round(ceiling * 0.8, 2)}))"
-        )
-        return Subscription.from_text(text, subscriber=subscriber)
-
-
-@dataclass
-class NewsScenario:
-    """Headline stream with string-operator subscriptions."""
-
-    seed: int | None = 0
-    sources: tuple[str, ...] = ("reuters", "ap", "afp", "dpa")
-    topics: tuple[str, ...] = (
-        "markets", "politics", "science", "sports", "technology",
-    )
-    _words: tuple[str, ...] = (
-        "election", "merger", "quake", "launch", "discovery",
-        "strike", "record", "summit", "verdict", "rally",
-    )
-
-    def __post_init__(self) -> None:
-        self._rng = make_rng(self.seed)
-
-    def event(self) -> Event:
-        """One random headline conforming to :data:`NEWS_SCHEMA`."""
-        rng = self._rng
-        words = [rng.choice(self._words) for _ in range(3)]
-        event = Event(
-            {
-                "source": rng.choice(self.sources),
-                "topic": rng.choice(self.topics),
-                "headline": " ".join(words),
-                "urgency": rng.randint(1, 5),
-            }
-        )
-        NEWS_SCHEMA.validate(event)
-        return event
-
-    def subscription(self, subscriber: str) -> Subscription:
-        """A keyword/topic alert with urgency escalation."""
-        rng = self._rng
-        topic = rng.choice(self.topics)
-        word = rng.choice(self._words)
-        text = (
-            f"(topic = '{topic}' and headline contains '{word}') "
-            f"or urgency >= 5"
         )
         return Subscription.from_text(text, subscriber=subscriber)
 

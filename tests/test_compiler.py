@@ -13,12 +13,27 @@ from repro.subscriptions import (
     MODE_GROUPS,
     SubscriptionTree,
     compile_tree,
-    evaluate_compiled,
     parse,
 )
 from repro.workloads import PaperSubscriptionGenerator
 
 from helpers import random_expressions
+
+
+def evaluate_compiled(compiled, fulfilled_ids):
+    """Reference semantics of the four compiled match forms.
+
+    The engine inlines these branches in its matching loop; this states
+    them once so the tests can check each form against the tree.
+    """
+    mode, payload = compiled
+    if mode == MODE_ANY:
+        return not payload.isdisjoint(fulfilled_ids)
+    if mode == MODE_GROUPS:
+        return all(not group.isdisjoint(fulfilled_ids) for group in payload)
+    if mode == MODE_DNF:
+        return any(group <= fulfilled_ids for group in payload)
+    return payload(fulfilled_ids)
 
 
 def compiled_of(text):

@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.predicates import Operator, Predicate
-from repro.subscriptions import parse
+from repro.subscriptions import CoveringIndex, parse
 from repro.subscriptions.covering import (
     clause_covers,
     covers,
     predicate_covers,
-    prune_covered,
 )
 from repro.subscriptions.normal_forms import to_dnf
 
@@ -236,6 +235,14 @@ def _satisfying_value(predicate, rng):
     if operator is Operator.EXISTS:
         return 1
     return _INFEASIBLE
+
+
+def prune_covered(expressions):
+    """(maximal ids, covered id -> coverer) of a set, inserted in id order."""
+    index = CoveringIndex()
+    for identifier in sorted(expressions):
+        index.add(identifier, expressions[identifier])
+    return index.maximal_ids(), index.covered_mapping()
 
 
 class TestPruneCovered:

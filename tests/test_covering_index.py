@@ -13,7 +13,6 @@ from repro.subscriptions import (
     covers,
     dnf_cache_stats,
     parse,
-    prune_covered,
 )
 from repro.subscriptions.normal_forms import DnfExplosionError
 from repro.workloads import NetworkChurnScenario, StockScenario
@@ -249,14 +248,17 @@ class TestPrefilters:
 
     def test_prefiltered_poset_matches_pairwise_oracle(self):
         # the prefilters are necessary conditions: the maximal set must
-        # equal the one a full pairwise scan (prune_covered contract)
-        # would produce
+        # equal the one a full pairwise scan would produce
         scenario = NetworkChurnScenario(seed=3)
         expressions = {
             s.subscription_id: s.expression
             for s in scenario.subscriptions(50)
         }
-        maximal, covered_by = prune_covered(expressions)
+        index = CoveringIndex()
+        for identifier in sorted(expressions):
+            index.add(identifier, expressions[identifier])
+        maximal = index.maximal_ids()
+        covered_by = index.covered_mapping()
         # oracle: a member is coverable iff some *other* member covers it
         for identifier, expression in expressions.items():
             coverable = any(

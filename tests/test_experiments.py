@@ -11,7 +11,6 @@ from repro.experiments import (
     PAPER_PARAMETERS,
     QUICK_SCALE,
     ascii_plot,
-    crossover_subscriptions,
     format_bytes,
     format_seconds,
     format_table,
@@ -60,26 +59,6 @@ class TestShapeAnalysis:
         flat = [(n, 5.0) for n in (100, 200, 400, 800)]
         assert normalized_slope(linear) > 0.8
         assert abs(normalized_slope(flat)) < 0.05
-
-    def test_crossover_detection(self):
-        slow = [(1, 1.0), (2, 2.0), (3, 3.0)]
-        fast = [(1, 1.6), (2, 1.6), (3, 1.6)]
-        crossing = crossover_subscriptions(slow, fast)
-        assert 1.0 < crossing < 2.0
-
-    def test_crossover_none_when_fast_never_wins(self):
-        slow = [(1, 1.0), (2, 1.1)]
-        fast = [(1, 5.0), (2, 5.0)]
-        assert crossover_subscriptions(slow, fast) is None
-
-    def test_crossover_at_start(self):
-        slow = [(1, 9.0), (2, 9.0)]
-        fast = [(1, 1.0), (2, 1.0)]
-        assert crossover_subscriptions(slow, fast) == 1
-
-    def test_crossover_requires_aligned_x(self):
-        with pytest.raises(ValueError):
-            crossover_subscriptions([(1, 1.0), (2, 1.0)], [(1, 1.0), (3, 1.0)])
 
 
 class TestReportRendering:

@@ -16,7 +16,6 @@ from repro.memory import PaperWorkloadShape, noncanonical_bytes
 from repro.subscriptions import Subscription
 from repro.workloads import (
     AuctionScenario,
-    NewsScenario,
     PaperSubscriptionGenerator,
     StockScenario,
 )
@@ -28,7 +27,7 @@ class TestScenarioPipelines:
 
     @pytest.mark.parametrize(
         "scenario_class",
-        [StockScenario, AuctionScenario, NewsScenario],
+        [StockScenario, AuctionScenario],
     )
     def test_scenario_through_broker_with_oracle(self, scenario_class):
         scenario = scenario_class(seed=42)

@@ -22,7 +22,7 @@ from repro.events import Event
 from repro.indexes import IndexManager
 from repro.predicates import PredicateRegistry
 from repro.subscriptions import Subscription
-from repro.workloads import GeneralSubscriptionGenerator, PaperSubscriptionGenerator
+from repro.workloads import PaperSubscriptionGenerator
 
 
 def sub(text):
@@ -80,25 +80,6 @@ class TestBasics:
         engine.register(s)
         with pytest.raises(ValueError):
             engine.register(s)
-
-
-class TestSingleStepMatching:
-    def test_single_step_equals_two_step(self):
-        engine = MatchingTreeEngine()
-        generator = GeneralSubscriptionGenerator(seed=4, allow_not=False)
-        for s in generator.subscriptions(25):
-            engine.register(s)
-        rng = random.Random(1)
-        for _ in range(40):
-            event = Event({
-                "price": rng.randint(0, 100),
-                "volume": rng.randint(0, 100),
-                "qty": rng.randint(0, 100),
-                "score": rng.randint(0, 100),
-                "symbol": "".join(rng.choice("abcde") for _ in range(3)),
-                "category": "".join(rng.choice("abcde") for _ in range(2)),
-            })
-            assert engine.match_single_step(event) == engine.match(event)
 
 
 class TestUnsubscription:

@@ -187,6 +187,11 @@ class TestSyntaxErrors:
             parse("a = 1 or or b = 2")
         assert info.value.position > 0
 
+    def test_deep_nesting_is_a_syntax_error(self):
+        assert parse("(" * 300 + "a > 1" + ")" * 300) == parse("a > 1")
+        with pytest.raises(SubscriptionSyntaxError, match="nested too deeply"):
+            parse("(" * 350 + "a > 1" + ")" * 350)
+
     def test_none_like_input(self):
         with pytest.raises(SubscriptionSyntaxError):
             parse("\n\t ")

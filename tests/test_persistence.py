@@ -16,7 +16,7 @@ from repro.broker.persistence import (
     save_broker,
     serialize_subscription,
 )
-from repro.subscriptions import Subscription
+from repro.subscriptions import EncodingError, Subscription, parse
 from repro.workloads import GeneralSubscriptionGenerator, StockScenario
 
 
@@ -87,6 +87,48 @@ class TestBrokerSaveRestore:
         assert save_broker(broker, path) == 1
 
 
+class TestAllOrNothingRestore:
+    def lines(self, *texts, first_id=1):
+        return "".join(
+            serialize_subscription(
+                Subscription(expression=parse(text), subscription_id=first_id + i)
+            )
+            + "\n"
+            for i, text in enumerate(texts)
+        )
+
+    def test_duplicate_id_in_file_restores_nothing(self, tmp_path):
+        path = tmp_path / "dup.jsonl"
+        path.write_text(self.lines("a = 1") + self.lines("b = 2"))
+        broker = Broker("b")
+        with pytest.raises(PersistenceError, match="line 2: duplicate"):
+            restore_broker(broker, path)
+        assert broker.subscription_count == 0
+        assert len(broker.engine.registry) == 0
+
+    def test_id_live_at_broker_restores_nothing(self, tmp_path):
+        path = tmp_path / "clash.jsonl"
+        path.write_text(self.lines("a = 1", "b = 2", first_id=900_001))
+        broker = Broker("b")
+        broker.subscribe(
+            Subscription(expression=parse("c = 3"), subscription_id=900_002)
+        )
+        with pytest.raises(PersistenceError, match="already registered"):
+            restore_broker(broker, path)
+        assert broker.engine.subscription_ids() == {900_002}
+
+    def test_engine_rejection_unregisters_earlier_records(self, tmp_path):
+        wide = " or ".join(f"a > {i}" for i in range(300))  # basic codec: >255
+        path = tmp_path / "wide.jsonl"
+        path.write_text(self.lines("a = 1", "b = 2", wide))
+        broker = Broker("b")
+        with pytest.raises(EncodingError):
+            restore_broker(broker, path)
+        assert broker.subscription_count == 0
+        assert len(broker.engine.registry) == 0
+        assert broker.publish({"a": 1, "b": 2}) == []
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize(
         "line",
@@ -102,6 +144,25 @@ class TestMalformedInput:
         ],
     )
     def test_bad_lines_rejected(self, line):
+        with pytest.raises(PersistenceError):
+            deserialize_subscription(line)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"v": true, "id": 1, "expression": "a = 1"}',
+            '{"v": 1, "id": true, "expression": "a = 1"}',
+            '{"v": 1, "id": 1, "subscriber": 7, "expression": "a = 1"}',
+            '{"v": 1, "id": 1, "expression": 123}',
+            '{"v": 1, "id": 1, "expression": "%sa = 1%s"}'
+            % ("(" * 350, ")" * 350),
+        ],
+        ids=[
+            "bool-version", "bool-id", "int-subscriber", "int-expression",
+            "deep-nesting",
+        ],
+    )
+    def test_mistyped_fields_rejected(self, line):
         with pytest.raises(PersistenceError):
             deserialize_subscription(line)
 

@@ -8,13 +8,18 @@ Covers the four pillars end to end:
   survival across a broker stats reset, network-wide withdrawal;
 * delivery sinks, including ``QueueSink`` bounded-drop accounting;
 * ``publish()`` accepting events, mappings, and iterables (materialized
-  exactly once), plus the ``stream()`` generator.
+  exactly once), plus the ``stream()`` generator;
+* every package's ``__all__``: each entry resolves, and none repeats.
 """
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
+import repro
 from repro import (
     Broker,
     BrokerNetwork,
@@ -424,3 +429,23 @@ class TestDeprecatedShims:
                 event_count=8,
                 engines=(build_engine("counting"),),
             )
+
+
+def _packages():
+    return ["repro"] + sorted(
+        f"repro.{info.name}"
+        for info in pkgutil.iter_modules(repro.__path__)
+        if info.ispkg
+    )
+
+
+class TestExportLists:
+    @pytest.mark.parametrize("package", _packages())
+    def test_all_entries_resolve_once(self, package):
+        module = importlib.import_module(package)
+        exported = module.__all__
+        assert len(exported) == len(set(exported)), sorted(
+            name for name in set(exported) if exported.count(name) > 1
+        )
+        missing = [name for name in exported if not hasattr(module, name)]
+        assert missing == []

@@ -6,13 +6,18 @@ import random
 
 import pytest
 
-from repro import BruteForceEngine, NonCanonicalEngine
+from repro import Broker, BruteForceEngine, NonCanonicalEngine, build_engine
 from repro.events import Event, InvalidEventError
 from repro.experiments.figure3 import PANELS, render_panel, run_panel
 from repro.experiments.parameters import ScaleConfig
 from repro.indexes import IndexManager
 from repro.predicates import PredicateRegistry
-from repro.subscriptions import Subscription, SubscriptionSyntaxError, parse
+from repro.subscriptions import (
+    EncodingError,
+    Subscription,
+    SubscriptionSyntaxError,
+    parse,
+)
 from repro.workloads import GeneralSubscriptionGenerator
 
 
@@ -98,12 +103,27 @@ class TestAdversarialInputs:
         assert engine.match(Event({"a": 150})) == {s.subscription_id}
 
     def test_basic_codec_rejects_oversized_fanout_cleanly(self):
-        from repro.subscriptions import EncodingError
-
         text = " or ".join(f"a = {i}" for i in range(300))
         engine = NonCanonicalEngine(codec="basic")
         with pytest.raises(EncodingError):
             engine.register(Subscription(expression=parse(text)))
+
+    @pytest.mark.parametrize("engine_name", ["noncanonical", "paged"])
+    def test_rejected_subscribe_leaves_broker_consistent(self, engine_name):
+        # the basic codec rejects the 300-child OR only after its
+        # predicates are registered; the failed subscribe must leave no
+        # registry, association or location entry behind
+        broker = Broker("b", engine=build_engine(engine_name))
+        oracle = BruteForceEngine()
+        with pytest.raises(EncodingError):
+            broker.subscribe(" or ".join(f"a > {i}" for i in range(300)))
+        assert len(broker.engine.registry) == 0
+        assert broker.engine.subscription_count == 0
+        kept = broker.subscribe("a > 500 or b = 1").subscription
+        oracle.register(kept)
+        for payload in ({"a": 1000}, {"a": 3}, {"b": 1}):
+            delivered = {n.subscription_id for n in broker.publish(payload)}
+            assert delivered == oracle.match(Event(payload))
 
     def test_unicode_strings_throughout(self):
         engine = NonCanonicalEngine()
