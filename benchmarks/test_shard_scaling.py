@@ -1,11 +1,11 @@
 """Shard-scaling curves: throughput versus shard count per engine.
 
 The curves come from the harness's shard sweep
-(:func:`~repro.experiments.harness.run_shard_sweep`); the two ratio
+(:func:`~repro.experiments.harness.run_shard_sweep`); the three ratio
 checks time engines here directly; every pass/fail number is a
 constant in this module.  Shards
 run in-process, one after another, so sharding buys speed only by
-pruning shards.  Three properties are asserted:
+pruning shards.  Four properties are asserted:
 
 * the sweep produces well-formed curves (parity is verified inside the
   harness before anything is timed);
@@ -16,15 +16,18 @@ pruning shards.  Three properties are asserted:
   corpus: it must beat the hash partitioner at the same shard count by
   :data:`ROUTED_OVER_HASH_MIN_RATIO` and the unsharded engine outright
   (:data:`ROUTED_SERIAL_MIN_SPEEDUP`), with ``shards_pruned`` counters
-  confirming the speedup came from pruning, not noise.
+  confirming the speedup came from pruning, not noise;
+* on 32-event batches, where each candidate shard gets a slice of the
+  batch's fulfilled matrix, routed×8 stays within
+  :data:`ROUTED_B32_MAX_TIME_OVER_HASH` of hash×8's time.
 
-The overhead and routed speedup checks assert from interleaved repeated
-samples (:func:`interleaved_seconds`): every round times each
-configuration once, back to back, in an order that rotates between
-rounds, and the assertion reads the median of the per-round ratios.  A
-measure-baseline-first protocol systematically flatters the baseline on
-CI runners whose clock boost decays over the run, and a single sample
-per configuration lets one slow moment decide the outcome.
+The overhead, routed speedup and batch slicing checks assert from
+interleaved repeated samples (:func:`interleaved_seconds`): every round
+times each configuration once, back to back, in an order that rotates
+between rounds, and the assertion reads the median of the per-round
+ratios.  A measure-baseline-first protocol systematically flatters the
+baseline on CI runners whose clock boost decays over the run, and a
+single sample per configuration lets one slow moment decide the outcome.
 
 Numbers land in ``benchmark.extra_info`` so future PRs have a scaling
 trajectory to compare against.
@@ -65,6 +68,12 @@ ROUTED_OVER_HASH_MIN_RATIO = 1.15
 #: floor interleaves its own baseline/routed measurements instead of
 #: trusting the sweep's ``speedup`` field.
 ROUTED_SERIAL_MIN_SPEEDUP = 1.0
+
+#: On the batch path (32-event batches, skewed hot-key corpus) routed×8
+#: may take at most this multiple of hash×8's time: slicing the batch
+#: matrix per candidate shard must not cost more than pruning saves.
+#: Observed ~1.3× with row-mask slicing; per-bit re-packing read ~7×.
+ROUTED_B32_MAX_TIME_OVER_HASH = 2.0
 
 #: Engines the scaling benchmarks sweep: the paper's contribution and
 #: the heaviest per-event baseline (brute force scales best, since its
@@ -267,4 +276,54 @@ def test_routed_partitioner_beats_hash_and_unsharded(benchmark):
     assert routed_vs_unsharded > ROUTED_SERIAL_MIN_SPEEDUP, (
         f"routed×8 fell below the unsharded baseline "
         f"({routed_vs_unsharded:.2f}x)"
+    )
+
+
+def test_routed_batch_slicing_stays_near_hash(benchmark):
+    """Routed×8 vs hash×8 (and unsharded) on 32-event batches.
+
+    The ``hotkey-b32`` population — 1,000 ``SkewedHotKeyScenario(seed=7)``
+    subscriptions — on one shared phase-1 state; each round runs every
+    batch through each engine's ``match_batch``, timed in
+    :func:`interleaved_seconds` rounds.  Hash gives every shard the
+    whole matrix; routed slices it per candidate shard
+    (:meth:`FulfilledMatrix.select`), which is what this leg times.
+    """
+    scenario = SkewedHotKeyScenario(seed=7)
+    subscriptions = scenario.subscriptions(1000)
+    events = scenario.events(640)
+    batches = [events[start : start + 32] for start in range(0, len(events), 32)]
+    engines = noncanonical_on_shared_state(
+        subscriptions,
+        unsharded={},
+        hash={"shards": 8},
+        routed={"shards": 8, "partitioner": "routed"},
+    )
+    expected = [engines["unsharded"].match_batch(batch) for batch in batches]
+    for name in ("hash", "routed"):
+        assert [engines[name].match_batch(batch) for batch in batches] == expected
+
+    seconds = interleaved_seconds(
+        {
+            name: lambda engine=engine: [
+                engine.match_batch(batch) for batch in batches
+            ]
+            for name, engine in engines.items()
+        }
+    )
+    time_over_hash = median_ratio(seconds["routed"], seconds["hash"])
+    routed_vs_unsharded = median_ratio(seconds["unsharded"], seconds["routed"])
+    benchmark.extra_info.update(
+        routed_b32_time_over_hash=round(time_over_hash, 3),
+        routed_vs_unsharded_b32=round(routed_vs_unsharded, 3),
+        routed_b32_events_per_second=round(
+            len(events) / statistics.median(seconds["routed"])
+        ),
+    )
+
+    benchmark(engines["routed"].match_batch, batches[0])
+    assert engines["routed"].counters.shards_pruned > 0
+    assert time_over_hash <= ROUTED_B32_MAX_TIME_OVER_HASH, (
+        f"routed×8 took {time_over_hash:.2f}x hash×8's time on 32-event "
+        "batches"
     )

@@ -41,7 +41,7 @@ class FulfilledMatrix:
     or past ``len(columns)`` is fulfilled by no event of the batch.
     """
 
-    __slots__ = ("columns", "active_bits", "event_count", "_id_sets")
+    __slots__ = ("columns", "active_bits", "event_count", "all_events_mask", "_id_sets")
 
     def __init__(
         self, columns: list[int], active_bits: list[int], event_count: int
@@ -49,6 +49,8 @@ class FulfilledMatrix:
         self.columns = columns
         self.active_bits = active_bits
         self.event_count = event_count
+        #: event-space mask of the rows in play (fewer after :meth:`select`)
+        self.all_events_mask = (1 << event_count) - 1
         self._id_sets: list[set[int]] | None = None
 
     @classmethod
@@ -73,11 +75,6 @@ class FulfilledMatrix:
             event_bit <<= 1
         return cls(columns, active_bits, len(fulfilled_sets))
 
-    @property
-    def all_events_mask(self) -> int:
-        """Event-space mask with every event's bit set."""
-        return (1 << self.event_count) - 1
-
     def columns_to(self, width: int) -> list[int]:
         """``columns``, padded with zero columns to at least ``width``.
 
@@ -88,33 +85,32 @@ class FulfilledMatrix:
         return self.columns + [0] * short if short > 0 else self.columns
 
     def select(self, indices: Sequence[int]) -> "FulfilledMatrix":
-        """Sub-matrix over the events at ``indices`` (renumbered densely).
+        """Sub-matrix over the rows at ``indices``, numbered as here.
 
-        Row ``j`` of the result is row ``indices[j]`` of this matrix —
-        the slicing primitive behind routed shard pruning: the parent
-        builds one batch matrix, each candidate shard evaluates only the
-        rows of the events it might match.  Columns that become zero are
-        dropped from ``active_bits``, so a shard whose candidate events
-        fulfil few predicates scans proportionally less.  Selecting every
-        event in order returns ``self`` (no copy).
+        The slicing primitive behind routed shard pruning: each candidate
+        shard evaluates only the rows of the events it might match.  One
+        AND of the row mask per active column; the mask becomes the
+        result's ``all_events_mask``, so kernels evaluate and count only
+        those rows.  Zero columns leave ``active_bits``, so a shard whose
+        events fulfil few predicates scans proportionally less.
+        Selecting every row returns ``self`` (no copy).
         """
-        if len(indices) == self.event_count and all(
-            got == want for want, got in enumerate(indices)
-        ):
+        mask = 0
+        for index in indices:
+            mask |= 1 << index
+        if mask == self.all_events_mask:
             return self
         columns = [0] * len(self.columns)
         active: list[int] = []
         own_columns = self.columns
         for pid in self.active_bits:
-            column = own_columns[pid]
-            sub = 0
-            for j, i in enumerate(indices):
-                if (column >> i) & 1:
-                    sub |= 1 << j
-            if sub:
-                columns[pid] = sub
+            column = own_columns[pid] & mask
+            if column:
+                columns[pid] = column
                 active.append(pid)
-        return FulfilledMatrix(columns, active, len(indices))
+        sliced = FulfilledMatrix(columns, active, self.event_count)
+        sliced.all_events_mask = mask
+        return sliced
 
     def to_id_sets(self) -> list[set[int]]:
         """Expand back to per-event fulfilled predicate id sets (cached).

@@ -305,7 +305,7 @@ class CountingEngine(FilterEngine):
                     results[low.bit_length() - 1].add(sid)
                     hits ^= low
         counters = self._counters
-        counters.phase2_calls += event_count
+        counters.phase2_calls += all_events.bit_count()
         counters.candidates_probed += probed
         counters.matches_found += sum(len(matched) for matched in results)
         return results
@@ -420,7 +420,7 @@ class CountingVariantEngine(CountingEngine):
                     results[low.bit_length() - 1].add(sid)
                     hits ^= low
         counters = self._counters
-        counters.phase2_calls += event_count
+        counters.phase2_calls += all_events.bit_count()
         counters.candidates_probed += len(touched)
         counters.matches_found += sum(len(matched) for matched in results)
         return results

@@ -263,11 +263,12 @@ class NonCanonicalEngine(FilterEngine):
                 if id_sets is None:
                     id_sets = matrix.to_id_sets()
                 hits = 0
-                event_bit = 1
-                for index in range(event_count):
-                    if payload(id_sets[index]):
-                        hits |= event_bit
-                    event_bit <<= 1
+                rows = all_events
+                while rows:
+                    row = rows & -rows
+                    if payload(id_sets[row.bit_length() - 1]):
+                        hits |= row
+                    rows ^= row
             if hits:
                 matched_total += hits.bit_count()
                 while hits:
@@ -275,7 +276,7 @@ class NonCanonicalEngine(FilterEngine):
                     results[low.bit_length() - 1].add(sid)
                     hits ^= low
         counters = self._counters
-        counters.phase2_calls += event_count
+        counters.phase2_calls += all_events.bit_count()
         counters.candidates_probed += len(candidates)
         counters.matches_found += matched_total
         return results

@@ -309,10 +309,11 @@ class RoutedPartitioner(ShardPartitioner):
         an event for that key prunes everything else.  Spreading such
         groups by load instead would drag every key's interest onto
         every shard and leave nothing to prune — load problems are the
-        rebalancer's job, not placement's.
+        rebalancer's job, not placement's.  An empty anchor set (the
+        unsatisfiable ``x = 1 and x = 2``) has no home: no event reaches it.
         """
         loads = self._loads
-        if key[0] == "anchor":
+        if key[0] == "anchor" and key[2]:
             # keyed by the smallest anchor value; repr-ordered so mixed
             # value domains stay deterministic instead of raising
             anchor = min(key[2], key=lambda v: (type(v).__name__, repr(v)))
@@ -709,11 +710,11 @@ class ShardedEngine(FilterEngine):
 
         The partitioner first computes each event's candidate shard
         subset; pruned shards are never probed.  One shared phase-1 pass
-        then feeds phase 2 on the candidate shards — sliced from one
-        column-major bit matrix (:meth:`FulfilledMatrix.select`) when
-        the shards have a matrix kernel, as per-event id sets otherwise.
-        A batch of one takes the per-event phase 1 and
-        ``match_fulfilled``, as on every engine.
+        feeds phase 2 on the candidate shards: row-mask slices of one bit
+        matrix (:meth:`FulfilledMatrix.select` keeps the batch's
+        numbering, so a shard's answer ``i`` is event ``i``'s) when the
+        shards have a matrix kernel, per-event id sets otherwise.  A
+        batch of one takes the per-event phase 1 and ``match_fulfilled``.
         """
         events = list(events)
         if not events:
@@ -728,22 +729,20 @@ class ShardedEngine(FilterEngine):
             return results
         if len(events) == 1:
             fulfilled_ids = self.indexes.match(events[0])
-            answers = ([shard.match_fulfilled(fulfilled_ids)] for shard, _ in live)
+            for shard, _ in live:
+                results[0] |= shard.match_fulfilled(fulfilled_ids)
         elif self._matrix_capable:
             matrix = self.indexes.match_batch_bits(events)
-            answers = (
-                shard.match_fulfilled_matrix(matrix.select(indices))
-                for shard, indices in live
-            )
+            for shard, indices in live:
+                answers = shard.match_fulfilled_matrix(matrix.select(indices))
+                for index in indices:
+                    results[index] |= answers[index]
         else:
             fulfilled = self.indexes.match_batch(events)
-            answers = (
-                shard.match_fulfilled_batch([fulfilled[i] for i in indices])
-                for shard, indices in live
-            )
-        for (_, indices), shard_sets in zip(live, answers):
-            for position, index in enumerate(indices):
-                results[index] |= shard_sets[position]
+            for shard, indices in live:
+                answers = shard.match_fulfilled_batch([fulfilled[i] for i in indices])
+                for index, matched in zip(indices, answers):
+                    results[index] |= matched
         return results
 
     # ------------------------------------------------------------------

@@ -259,8 +259,12 @@ def parse(text: str) -> BooleanExpression:
     SubscriptionSyntaxError
         On malformed input, with the offending offset, and on nesting
         deeper than the interpreter's recursion limit allows.
+    TypeError
+        When ``text`` is neither a string nor ``None``.
     """
-    if not isinstance(text, str) or not text.strip():
+    if text is not None and not isinstance(text, str):
+        raise TypeError(f"subscription text must be a str, not {type(text).__name__}")
+    if not text or not text.strip():
         raise SubscriptionSyntaxError("empty subscription", 0, text or "")
     try:
         return _Parser(text).parse()

@@ -13,9 +13,12 @@ spec-driven construction for every engine.
 
 Setting ``REPRO_SHARDS`` to an integer additionally wraps every engine
 under test (never the oracle) in a
-:class:`~repro.core.sharded.ShardedEngine` with that many shards — the
-CI sharded leg runs the same suites through the sharded runtime this
-way.
+:class:`~repro.core.sharded.ShardedEngine` with that many shards and the
+routed partitioner — the CI sharded leg runs the same suites through
+the sharded runtime this way.  Routed, not hash: hash sends every event
+to every shard, so the batch path would never slice the fulfilled
+matrix (:meth:`~repro.core.bitset.FulfilledMatrix.select`); hash stays
+covered per engine by ``tests/test_sharded.py``.
 """
 
 from __future__ import annotations
@@ -50,10 +53,11 @@ SELECTED_SHARDS = (
 
 
 def _maybe_sharded(spec: EngineSpec) -> EngineSpec:
-    """Wrap a spec in the sharded runtime when REPRO_SHARDS is set."""
+    """Wrap a spec in the routed sharded runtime when REPRO_SHARDS is
+    set."""
     if SELECTED_SHARDS is None:
         return spec
-    return spec.with_options(shards=SELECTED_SHARDS)
+    return spec.with_options(shards=SELECTED_SHARDS, partitioner="routed")
 
 
 def _spec_options(name, *, complement_operators=False):

@@ -107,6 +107,43 @@ class TestFulfilledMatrix:
         )
         assert matrix.all_events_mask == 0b11
 
+    @pytest.mark.parametrize("event_count", [5, 64, 65, 150])
+    def test_select_keeps_numbering_and_zeroes_unselected_rows(self, event_count):
+        rng = random.Random(event_count)
+        sets = [set(rng.sample(range(1, 12), 3)) for _ in range(event_count)]
+        sets[0] = {99}  # a column only row 0 sets
+        matrix = FulfilledMatrix.from_id_sets(sets)
+        indices = sorted(rng.sample(range(1, event_count), event_count // 3))
+        sub = matrix.select(indices)
+        assert sub.event_count == event_count
+        assert sub.all_events_mask == sum(1 << index for index in indices)
+        rows = sub.to_id_sets()
+        for index in range(event_count):
+            assert rows[index] == (sets[index] if index in indices else set())
+        assert 99 not in sub.active_bits
+        assert sorted(sub.active_bits) == sorted(
+            pid for pid, column in enumerate(sub.columns) if column
+        )
+
+    def test_select_every_row_returns_self(self):
+        matrix = FulfilledMatrix.from_id_sets([{1}, {2}, {1, 3}])
+        assert matrix.select([0, 1, 2]) is matrix
+        assert matrix.select(range(3)) is matrix
+
+    def test_empty_assignment_matcher_skips_unselected_rows(self):
+        """``not x = 1`` matches an event fulfilling nothing — but not a
+        row its shard was pruned from, and only selected rows count as
+        phase-2 calls."""
+        engine = NonCanonicalEngine()
+        subscription = Subscription.from_text("not x = 1")
+        engine.register(subscription)
+        [pid] = engine.indexes.match(Event({"x": 1}))
+        matrix = FulfilledMatrix.from_id_sets([set(), {pid}, set(), set()])
+        results = engine.match_fulfilled_matrix(matrix.select([1, 2]))
+        assert results == [set(), set(), {subscription.subscription_id}, set()]
+        assert engine.counters.phase2_calls == 2
+        assert engine.counters.matches_found == 1
+
     @given(
         st.lists(
             st.sets(st.sampled_from([11, 22, 33, 44, 55]), max_size=5),

@@ -195,3 +195,13 @@ class TestSyntaxErrors:
     def test_none_like_input(self):
         with pytest.raises(SubscriptionSyntaxError):
             parse("\n\t ")
+
+    @pytest.mark.parametrize("text", [None, ""])
+    def test_none_and_empty_are_syntax_errors(self, text):
+        with pytest.raises(SubscriptionSyntaxError, match="empty subscription"):
+            parse(text)
+
+    @pytest.mark.parametrize("text", [123, b"a = 1", ["a = 1"]])
+    def test_non_string_is_a_type_error_naming_the_type(self, text):
+        with pytest.raises(TypeError, match=type(text).__name__):
+            parse(text)

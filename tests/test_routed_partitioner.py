@@ -209,6 +209,33 @@ def test_routed_parity_on_random_corpora(engine_name, seed):
 
 
 @pytest.mark.parametrize("engine_name", ALL_ENGINES)
+def test_unsatisfiable_anchor_registers_matches_nothing_and_unregisters(
+    engine_name,
+):
+    """``x = 1 and x = 2`` summarises to the empty anchor set: it has no
+    value home, registers, matches nothing (as on the oracle) and leaves
+    no routing state behind."""
+    texts = ("x = 1 and x = 2", "x = 1", "x = 2 and y > 0")
+    events = [Event({"x": 1}), Event({"x": 2, "y": 1}), Event({"x": 3})]
+    oracle = build_engine("bruteforce")
+    with ShardedEngine(
+        inner_spec(engine_name), shards=4, partitioner="routed"
+    ) as engine:
+        for sid, text in enumerate(texts, start=1):
+            oracle.register(subscription(sid, text))
+            engine.register(subscription(sid, text))
+        assert engine.match_batch(events) == oracle.match_batch(events)
+        assert [engine.match(event) for event in events] == [
+            oracle.match(event) for event in events
+        ]
+        for sid in range(1, len(texts) + 1):
+            engine.unregister(sid)
+        assert engine.subscription_count == 0
+        assert engine.partitioner._point_index == {}
+        assert engine.memory_breakdown()["shard_router"] == 0
+
+
+@pytest.mark.parametrize("engine_name", ALL_ENGINES)
 def test_routed_parity_under_churn_with_rebalance(engine_name):
     """Batch-flushed churn through a rebalance-happy routed engine.
 
