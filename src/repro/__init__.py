@@ -94,7 +94,6 @@ from .subscriptions import (
     CoveringIndex,
     Subscription,
     SubscriptionSyntaxError,
-    canonical_dnf,
     covers,
     parse,
     to_dnf,
@@ -159,7 +158,6 @@ __all__ = [
     "SubscriptionSyntaxError",
     "parse",
     "to_dnf",
-    "canonical_dnf",
     "covers",
     "CoveringIndex",
     "__version__",

@@ -36,6 +36,7 @@ from ..core.registry import EngineSpec
 from ..events.event import Event
 from ..events.schema import EventSchema
 from ..subscriptions.subscription import Subscription
+from ..subscriptions.summary import summarize
 from .broker import (
     Broker,
     Notification,
@@ -231,11 +232,22 @@ class BrokerNetwork:
     ) -> None:
         """Walk the overlay outward from ``origin``, entering the
         subscription into every routing table (the tables decide whether
-        the local engine registers it or a coverer suppresses it)."""
+        the local engine registers it or a coverer suppresses it).
+
+        With covering on, the subscription's summary is derived here,
+        once, and handed to every table: the tables' covering indexes
+        would otherwise each derive the same DNF."""
+        summary = (
+            summarize(subscription.expression)
+            if self._covering_enabled
+            else None
+        )
         frontier = [(origin, neighbor) for neighbor in self._neighbors[origin]]
         while frontier:
             came_from, current = frontier.pop()
-            change = self._routing[current].add_remote(subscription, came_from)
+            change = self._routing[current].add_remote(
+                subscription, came_from, summary
+            )
             self.stats.hops_visited += 1
             if change.suppressed_by is not None:
                 self.stats.suppressed_registrations += 1

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 from ..subscriptions.covering_index import CoveringIndex
 from ..subscriptions.subscription import Subscription
+from ..subscriptions.summary import ExpressionSummary
 from .broker import Broker
 
 #: Paper-style cost-model charge per routing-table entry: a next-hop
@@ -80,20 +81,13 @@ class RoutingTable:
     covering_enabled:
         When ``False`` the table degenerates to pure next-hop flooding
         (every remote subscription registered, no indexes).
-    max_clauses:
-        Clause cap for the covering indexes' DNF derivations.
     """
 
     def __init__(
-        self,
-        broker: Broker,
-        *,
-        covering_enabled: bool = True,
-        max_clauses: int = 4_096,
+        self, broker: Broker, *, covering_enabled: bool = True
     ) -> None:
         self.broker = broker
         self.covering_enabled = covering_enabled
-        self.max_clauses = max_clauses
         #: subscription id -> neighbor toward home (None = home here)
         self._hops: dict[int, str | None] = {}
         #: subscription id -> the routed subscription (for reinstatement)
@@ -176,13 +170,20 @@ class RoutingTable:
         return RouteChange(sid)
 
     def add_remote(
-        self, subscription: Subscription, direction: str
+        self,
+        subscription: Subscription,
+        direction: str,
+        summary: ExpressionSummary | None,
     ) -> RouteChange:
         """Route a flooded subscription arriving from ``direction``.
 
         Registers it on the broker's engine unless a same-direction
         coverer suppresses it; a maximal arrival absorbs (unregisters)
-        the same-direction subscriptions it covers.
+        the same-direction subscriptions it covers.  ``summary`` is the
+        subscription's :func:`~repro.subscriptions.summary.summarize`
+        summary, derived once by the network for every table the
+        subscription enters (``None``, as the network passes with
+        covering off, makes the index derive its own).
         """
         sid = subscription.subscription_id
         self._hops[sid] = direction
@@ -190,10 +191,10 @@ class RoutingTable:
         if not self.covering_enabled:
             self._register(sid)
             return RouteChange(sid)
-        index = self._indexes.setdefault(
-            direction, CoveringIndex(max_clauses=self.max_clauses)
-        )
-        outcome = index.add(sid, subscription.expression)
+        index = self._indexes.get(direction)
+        if index is None:
+            index = self._indexes[direction] = CoveringIndex()
+        outcome = index.add(sid, summary or subscription.expression)
         if outcome.covered_by is not None:
             return RouteChange(sid, suppressed_by=outcome.covered_by)
         self._register(sid)

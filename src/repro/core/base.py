@@ -284,8 +284,18 @@ class FilterEngine(abc.ABC):
         always equals ``match_fulfilled`` of event ``i``'s fulfilled
         set; kernels change throughput and counter attribution
         (per-batch instead of per-event probe units), never answers.
+        Rows outside ``matrix.all_events_mask`` (cut by
+        :meth:`~repro.core.bitset.FulfilledMatrix.select`) are neither
+        evaluated nor counted and answer the empty set.
         """
-        return self.match_fulfilled_batch(matrix.to_id_sets())
+        id_sets = matrix.to_id_sets()
+        mask = matrix.all_events_mask
+        rows = [row for row in range(matrix.event_count) if mask >> row & 1]
+        results: list[set[int]] = [set() for _ in id_sets]
+        matched = self.match_fulfilled_batch([id_sets[row] for row in rows])
+        for row, subscriptions in zip(rows, matched):
+            results[row] = subscriptions
+        return results
 
     # ------------------------------------------------------------------
     # memory accounting

@@ -35,7 +35,7 @@ from ..indexes.manager import IndexManager
 from ..memory.cost_model import DEFAULT_COST_MODEL, CostModel
 from ..predicates.predicate import Predicate
 from ..predicates.registry import PredicateRegistry
-from ..subscriptions.normal_forms import canonical_dnf
+from ..subscriptions.normal_forms import to_dnf
 from ..subscriptions.subscription import Subscription
 from .base import (
     FilterEngine,
@@ -111,7 +111,7 @@ class CountingEngine(FilterEngine):
         sid = subscription.subscription_id
         if sid in self._original_ids:
             raise ValueError(f"subscription id {sid} already registered")
-        dnf = canonical_dnf(
+        dnf = to_dnf(
             subscription.expression,
             max_clauses=self._max_clauses,
             complement_operators=self._complement_operators,

@@ -30,7 +30,7 @@ from typing import AbstractSet, Mapping
 from ..indexes.manager import IndexManager
 from ..memory.cost_model import DEFAULT_COST_MODEL, CostModel
 from ..predicates.registry import PredicateRegistry
-from ..subscriptions.normal_forms import canonical_dnf
+from ..subscriptions.normal_forms import to_dnf
 from ..subscriptions.subscription import Subscription
 from .base import (
     FilterEngine,
@@ -96,7 +96,7 @@ class MatchingTreeEngine(FilterEngine):
         sid = subscription.subscription_id
         if sid in self._clauses:
             raise ValueError(f"subscription id {sid} already registered")
-        dnf = canonical_dnf(
+        dnf = to_dnf(
             subscription.expression,
             max_clauses=self._max_clauses,
             complement_operators=self._complement_operators,

@@ -30,8 +30,8 @@ Partitioner strategies
 ``routed``
     :class:`RoutedPartitioner` — places each subscription into an
     **event-space region group** derived from its expression summary
-    (:func:`repro.subscriptions.summary.summarize`, shared with the
-    covering index): subscriptions whose every DNF clause pins an
+    (:func:`repro.subscriptions.summary.summarize`, the covering index's
+    summary shape): subscriptions whose every DNF clause pins an
     attribute to a point are grouped by that anchor value set;
     subscriptions with tight interval hulls are grouped by hull
     signature; everything else lands in a universal group.  Whole groups
@@ -53,7 +53,12 @@ from ..indexes.manager import IndexManager
 from ..memory.cost_model import DEFAULT_COST_MODEL, CostModel
 from ..predicates.registry import PredicateRegistry
 from ..subscriptions.subscription import Subscription
-from ..subscriptions.summary import interval_admits, summarize
+from ..subscriptions.summary import (
+    ExpressionSummary,
+    _hull,
+    interval_admits,
+    summarize,
+)
 from .base import FilterEngine, MatchCounters, UnknownSubscriptionError
 from .registry import EngineSpec
 
@@ -199,8 +204,8 @@ class RoutedPartitioner(ShardPartitioner):
 
     Placement
         Each subscription's expression summary
-        (:func:`~repro.subscriptions.summary.summarize` — the same
-        cached derivation the covering index uses) yields a region key:
+        (:func:`~repro.subscriptions.summary.summarize`, derived once
+        per ``assign``) yields a region key:
 
         * ``("anchor", attr, values)`` when every satisfiable DNF clause
           pins ``attr`` to a point — the hot-key case; the group is
@@ -242,13 +247,11 @@ class RoutedPartitioner(ShardPartitioner):
         self,
         *,
         imbalance_factor: float = 1.5,
-        max_clauses: int = 4_096,
         cost_model: CostModel = DEFAULT_COST_MODEL,
     ) -> None:
         if imbalance_factor < 1.0:
             raise ValueError("imbalance_factor must be at least 1.0")
         self.imbalance_factor = imbalance_factor
-        self.max_clauses = max_clauses
         self._cost_model = cost_model
         #: accepted group migrations (rebalance effectiveness signal)
         self.migrations = 0
@@ -268,10 +271,8 @@ class RoutedPartitioner(ShardPartitioner):
         self._loads = [0] * shard_count
 
     # -- placement ------------------------------------------------------
-    def _region_key(self, subscription: Subscription) -> tuple:
-        summary = summarize(
-            subscription.expression, max_clauses=self.max_clauses
-        )
+    @staticmethod
+    def _region_key(summary: ExpressionSummary) -> tuple:
         anchors = summary.anchors
         if anchors:
             attribute = min(anchors)
@@ -282,7 +283,8 @@ class RoutedPartitioner(ShardPartitioner):
 
     def assign(self, subscription: Subscription) -> int:
         sid = subscription.subscription_id
-        key = self._region_key(subscription)
+        summary = summarize(subscription.expression)
+        key = self._region_key(summary)
         group = self._groups.get(key)
         if group is None:
             shard = self._place(key)
@@ -295,7 +297,7 @@ class RoutedPartitioner(ShardPartitioner):
             else:
                 self._scan_groups.add(group)
         if key[0] == "hulls":
-            self._merge_hulls(group, subscription)
+            self._merge_hulls(group, summary)
         group.members.add(sid)
         self._assignments[sid] = group
         self._loads[group.shard] += 1
@@ -347,13 +349,10 @@ class RoutedPartitioner(ShardPartitioner):
             )
         return hulls
 
-    def _merge_hulls(self, group: _RegionGroup, subscription: Subscription) -> None:
+    def _merge_hulls(
+        self, group: _RegionGroup, summary: ExpressionSummary
+    ) -> None:
         """Grow the group's admission hulls to cover the new member."""
-        from ..subscriptions.summary import _hull
-
-        summary = summarize(
-            subscription.expression, max_clauses=self.max_clauses
-        )
         incoming_hulls = self._admission_hulls(summary)
         if not group.members:
             group.hulls = incoming_hulls

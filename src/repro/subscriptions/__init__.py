@@ -42,11 +42,8 @@ from .normal_forms import (
     DisjunctiveNormalForm,
     DnfExplosionError,
     Literal,
-    canonical_dnf,
     clear_dnf_cache,
-    dnf_cache_stats,
     dnf_clause_count,
-    dnf_literal_count,
     to_dnf,
     to_nnf,
 )
@@ -86,11 +83,8 @@ __all__ = [
     "DisjunctiveNormalForm",
     "DnfExplosionError",
     "Literal",
-    "canonical_dnf",
     "clear_dnf_cache",
-    "dnf_cache_stats",
     "dnf_clause_count",
-    "dnf_literal_count",
     "to_dnf",
     "to_nnf",
     "SubscriptionSyntaxError",

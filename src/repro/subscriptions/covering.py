@@ -32,7 +32,7 @@ from .normal_forms import (
     Clause,
     DisjunctiveNormalForm,
     DnfExplosionError,
-    canonical_dnf,
+    to_dnf,
 )
 
 
@@ -191,15 +191,16 @@ def covers(
 ) -> bool:
     """Sound (incomplete) covering test between Boolean expressions.
 
-    Both expressions are put into DNF (memoized — see
-    :func:`~repro.subscriptions.normal_forms.canonical_dnf`); ``coverer``
-    covers ``covered`` when every clause of the covered DNF is covered
-    by some clause of the coverer's DNF.  Expressions whose DNF exceeds
-    ``max_clauses`` conservatively return ``False``.
+    Both expressions are put into DNF on every call; ``coverer`` covers
+    ``covered`` when every clause of the covered DNF is covered by some
+    clause of the coverer's DNF.  Expressions whose DNF exceeds
+    ``max_clauses`` conservatively return ``False``.  Callers that test
+    one expression many times keep its DNF instead (the covering index
+    keeps one per member summary) and call :func:`dnf_covers`.
     """
     try:
-        coverer_dnf = canonical_dnf(coverer, max_clauses=max_clauses)
-        covered_dnf = canonical_dnf(covered, max_clauses=max_clauses)
+        coverer_dnf = to_dnf(coverer, max_clauses=max_clauses)
+        covered_dnf = to_dnf(covered, max_clauses=max_clauses)
     except DnfExplosionError:
         return False
     return dnf_covers(coverer_dnf, covered_dnf)
@@ -211,9 +212,9 @@ def dnf_covers(
 ) -> bool:
     """The DNF-level covering test behind :func:`covers`.
 
-    Split out so callers that already hold both canonical DNFs (the
-    covering index keeps them per subscription) pay only the clause
-    comparison, never a re-derivation.
+    Split out so callers that already hold both DNFs (the covering
+    index keeps them per subscription) pay only the clause comparison,
+    never a re-derivation.
     """
     for covered_clause in covered_dnf:
         if not any(

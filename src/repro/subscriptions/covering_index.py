@@ -10,12 +10,12 @@ as [14]).
 
 What makes it cheap:
 
-* **cached canonical DNF** — each expression's DNF is derived once
-  (:func:`~repro.subscriptions.normal_forms.canonical_dnf`) and kept in
-  the per-id summary, so no :func:`~repro.subscriptions.covering.covers`
-  call ever re-derives a normal form.  Summaries live in
-  :mod:`repro.subscriptions.summary`, shared with the sharded runtime's
-  routed partitioner — one derivation feeds covering *and* routing;
+* **one DNF per member** — each member's DNF is derived once, inside
+  its :func:`~repro.subscriptions.summary.summarize` summary, and kept
+  in the per-id summary until the member is removed, so no exact test
+  ever re-derives a normal form.  ``add`` accepts that summary from a
+  caller that already derived it: a broker network summarizes a
+  subscribe once and hands the summary to every routing table;
 * **attribute-signature prefilter** — maximal ids are bucketed by their
   *required attribute set* (attributes appearing in every DNF clause).
   A coverer's required set is necessarily a subset of the covered
@@ -43,6 +43,7 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
+from .ast import BooleanExpression
 from .covering import _interval_contains, dnf_covers
 from .summary import ExpressionSummary as _Summary, Interval, summarize
 
@@ -110,16 +111,13 @@ class RemoveOutcome:
 class CoveringIndex:
     """The covering partial order, maintained incrementally.
 
-    Parameters
-    ----------
-    max_clauses:
-        Clause cap forwarded to the canonical-DNF derivation; the same
-        conservative-false semantics as
-        :func:`~repro.subscriptions.covering.covers`.
+    Members whose DNF exceeds the summary clause cap
+    (:data:`~repro.subscriptions.summary.MAX_CLAUSES`) never cover and
+    are never covered — the conservative-false semantics of
+    :func:`~repro.subscriptions.covering.covers`.
     """
 
-    def __init__(self, *, max_clauses: int = 4_096) -> None:
-        self.max_clauses = max_clauses
+    def __init__(self) -> None:
         self._summaries: dict[int, _Summary] = {}
         self._covered_by: dict[int, int] = {}
         self._children: dict[int, set[int]] = {}
@@ -181,16 +179,24 @@ class CoveringIndex:
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
-    def add(self, identifier: int, expression: BooleanExpression) -> AddOutcome:
+    def add(
+        self, identifier: int, expression: BooleanExpression | _Summary
+    ) -> AddOutcome:
         """Insert one member and restitch the poset around it.
 
-        Never rescans the full set: candidate coverers come from the
-        signature buckets, and only *maximal* ids are tested in either
-        direction (covered ids already ride their coverer).
+        ``expression`` is the member's expression, or its summary when
+        the caller already derived one.  Never rescans the full set:
+        candidate coverers come from the signature buckets, and only
+        *maximal* ids are tested in either direction (covered ids
+        already ride their coverer).
         """
         if identifier in self._summaries:
             raise ValueError(f"id {identifier} already present")
-        summary = summarize(expression, max_clauses=self.max_clauses)
+        summary = (
+            expression
+            if isinstance(expression, _Summary)
+            else summarize(expression)
+        )
         self._summaries[identifier] = summary
         coverer = self._find_coverer(summary, exclude=identifier)
         if coverer is not None:

@@ -4,8 +4,14 @@ This module implements the *canonical pipeline* the paper argues against:
 rewriting arbitrary Boolean subscriptions into disjunctive normal form
 (DNF) so that each disjunct can be registered as a separate conjunctive
 subscription with a counting-style engine.  It also provides
-non-materializing blow-up accounting used by the theoretical claims
-benchmarks.
+non-materializing clause counting (:func:`dnf_clause_count`).
+
+Nothing here is memoized: the consumer that keeps a normal form derives
+it (the counting and matching-tree engines in ``register``,
+:func:`~repro.subscriptions.covering.covers` per call, the covering
+index and the routed partitioner through
+:func:`~repro.subscriptions.summary.summarize`), so a form lives exactly
+as long as the structure holding it.
 
 The blow-up is worst-case exponential: the paper's workload — an AND of
 ``k`` binary ORs over ``|p| = 2k`` predicates — expands into ``2**k``
@@ -283,106 +289,12 @@ def _dnf_clauses(
     raise TypeError(f"expression is not in NNF: {node!r}")
 
 
-# ----------------------------------------------------------------------
-# canonical-DNF cache
-# ----------------------------------------------------------------------
-#: Entries the memo keeps before evicting least-recently-used ones.
-#: Sized for realistic subscription populations (every distinct
-#: expression in a broker's routing table) while bounding worst-case
-#: retention of abandoned expressions.
-_DNF_CACHE_LIMIT = 16_384
-
-#: (expression, complement_operators) -> DisjunctiveNormalForm, LRU order.
-_dnf_cache: "dict[tuple[BooleanExpression, bool], DisjunctiveNormalForm]" = {}
-
-#: (expression, complement_operators) -> largest clause cap at which the
-#: derivation exploded; retrying below that cap is pointless.
-_dnf_explosions: "dict[tuple[BooleanExpression, bool], int]" = {}
-
-#: Running totals behind :func:`dnf_cache_stats` — the regression test
-#: for "one derivation per expression" reads these.
-_dnf_cache_counters = {"derivations": 0, "hits": 0}
-
-
-def canonical_dnf(
-    expression: BooleanExpression,
-    *,
-    max_clauses: int = 1_000_000,
-    complement_operators: bool = False,
-) -> DisjunctiveNormalForm:
-    """Memoized :func:`to_dnf` — one derivation per distinct expression.
-
-    Engines, the covering test, and the covering index all consume the
-    canonical DNF of a subscription expression; before this cache each
-    consumer re-derived it (the covering test re-derived *both* sides on
-    every pairwise call).  The memo is keyed on the expression value (the
-    AST hashes structurally) plus the ``complement_operators`` mode;
-    ``drop_contradictions`` is always the default ``True`` here, which is
-    what every production consumer uses.
-
-    Semantics match :func:`to_dnf` with one deliberate softening: the
-    clause cap is checked against the *materialized* clause count, so a
-    cached DNF may be reused under a cap that the in-flight intermediate
-    product of a fresh derivation would have tripped.  A cache answer is
-    never larger than ``max_clauses``; expressions past the cap raise
-    :class:`DnfExplosionError` exactly like the uncached path.
-    """
-    key = (expression, complement_operators)
-    cached = _dnf_cache.get(key)
-    if cached is not None:
-        if len(cached) > max_clauses:
-            raise DnfExplosionError(
-                f"cached DNF has {len(cached)} clauses, over the "
-                f"{max_clauses}-clause cap"
-            )
-        # refresh LRU position
-        _dnf_cache[key] = _dnf_cache.pop(key)
-        _dnf_cache_counters["hits"] += 1
-        return cached
-    exploded_at = _dnf_explosions.get(key)
-    if exploded_at is not None and exploded_at >= max_clauses:
-        raise DnfExplosionError(
-            f"DNF exceeds {max_clauses} clauses (exploded at a cap of "
-            f"{exploded_at})"
-        )
-    _dnf_cache_counters["derivations"] += 1
-    try:
-        dnf = to_dnf(
-            expression,
-            max_clauses=max_clauses,
-            complement_operators=complement_operators,
-        )
-    except DnfExplosionError:
-        _dnf_explosions.pop(key, None)  # re-insert in LRU position
-        _dnf_explosions[key] = max(max_clauses, exploded_at or 0)
-        if len(_dnf_explosions) > _DNF_CACHE_LIMIT:
-            _dnf_explosions.pop(next(iter(_dnf_explosions)))
-        raise
-    _dnf_cache[key] = dnf
-    if len(_dnf_cache) > _DNF_CACHE_LIMIT:
-        _dnf_cache.pop(next(iter(_dnf_cache)))
-    return dnf
-
-
-def dnf_cache_stats() -> dict[str, int]:
-    """Cache effectiveness counters: derivations, hits, and live size."""
-    return {**_dnf_cache_counters, "size": len(_dnf_cache)}
-
-
-#: Callables invoked by :func:`clear_dnf_cache` — downstream caches that
-#: retain DNF objects (e.g. the covering-index summary memo) register
-#: themselves here so one clear call resets the whole derivation chain.
-_dependent_cache_clearers: list = []
-
-
 def clear_dnf_cache() -> None:
-    """Drop every memoized DNF and zero the counters (test isolation)."""
-    _dnf_cache.clear()
-    _dnf_explosions.clear()
-    _dnf_cache_counters["derivations"] = 0
-    _dnf_cache_counters["hits"] = 0
-    for clear in _dependent_cache_clearers:
-        clear()
+    """Do nothing: no memo of derived forms is left to clear.
+
+    Kept only because ``perfbench/passes.py`` imports it; it goes with
+    those calls.
+    """
 
 
 def dnf_clause_count(expression: BooleanExpression) -> int:
@@ -403,34 +315,4 @@ def _count(node: BooleanExpression) -> int:
         return sum(_count(child) for child in node.operands)
     if isinstance(node, And):
         return math.prod(_count(child) for child in node.operands)
-    raise TypeError(f"expression is not in NNF: {node!r}")
-
-
-def dnf_literal_count(expression: BooleanExpression) -> int:
-    """Total literal occurrences across all DNF clauses, without materializing.
-
-    For a node with clause count ``c`` and literal total ``l``:
-    a leaf is ``(1, 1)``; OR sums both; AND of children ``(c_i, l_i)``
-    has ``c = prod(c_i)`` and ``l = sum_i (l_i * prod_{j != i} c_j)``.
-    """
-    __, literals = _count_pair(to_nnf(expression))
-    return literals
-
-
-def _count_pair(node: BooleanExpression) -> tuple[int, int]:
-    if _leaf_literal(node) is not None:
-        return (1, 1)
-    if isinstance(node, Or):
-        counts = [_count_pair(child) for child in node.operands]
-        return (sum(c for c, _ in counts), sum(l for _, l in counts))
-    if isinstance(node, And):
-        counts = [_count_pair(child) for child in node.operands]
-        total_clauses = math.prod(c for c, _ in counts)
-        literals = 0
-        for index, (c, l) in enumerate(counts):
-            others = math.prod(
-                counts[j][0] for j in range(len(counts)) if j != index
-            )
-            literals += l * others
-        return (total_clauses, literals)
     raise TypeError(f"expression is not in NNF: {node!r}")

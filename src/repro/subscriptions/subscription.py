@@ -15,7 +15,6 @@ from typing import Optional
 
 from ..events.event import Event
 from .ast import BooleanExpression
-from .normal_forms import DisjunctiveNormalForm, canonical_dnf
 from .parser import parse
 
 _subscription_counter = itertools.count(1)
@@ -64,18 +63,6 @@ class Subscription:
         with; the engines exist to compute the same answer faster.
         """
         return self.expression.matches(event)
-
-    def canonical_dnf(
-        self, *, max_clauses: int = 1_000_000
-    ) -> DisjunctiveNormalForm:
-        """The expression's canonical DNF, derived at most once.
-
-        Delegates to the process-wide memo
-        (:func:`~repro.subscriptions.normal_forms.canonical_dnf`), so
-        engines, the covering index, and ad-hoc callers all share one
-        materialization per distinct expression.
-        """
-        return canonical_dnf(self.expression, max_clauses=max_clauses)
 
     def predicate_count(self) -> int:
         """Number of *distinct* predicates (the paper's ``|p|``)."""

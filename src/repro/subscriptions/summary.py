@@ -1,14 +1,19 @@
 """Per-expression summaries: signatures, interval hulls, point anchors.
 
-One derivation serves two consumers.  The covering index
+One summary shape serves two consumers.  The covering index
 (:mod:`repro.subscriptions.covering_index`) prefilters candidate
 coverer/covered pairs with the required-attribute signature and the
 interval hulls; the sharded runtime's routed partitioner
 (:mod:`repro.core.sharded`) places subscriptions into event-space
 regions with the same hulls plus the *point anchors* and prunes whole
-shards per event.  Keeping both on one cached ``summarize`` means a
-subscription that enters a broker's covering index and its sharded
-engine derives its canonical DNF exactly once.
+shards per event.
+
+:func:`summarize` is a pure function and keeps nothing: a consumer
+holds the summaries it needs and drops them when the subscription
+leaves.  Where one subscription meets several consumers, the caller
+derives once and hands the summary over — a broker network summarizes
+a subscribe once and passes it to every routing table on the tree, and
+the routed partitioner summarizes once per ``assign``.
 
 Summary fields and their soundness roles:
 
@@ -30,8 +35,8 @@ Summary fields and their soundness roles:
 * ``clause_hulls`` — covered-role hull of per-clause intersection
   intervals; only the covering prefilters consume it.
 
-Expressions whose canonical DNF explodes past the clause cap summarize
-to the universal summary (no signature, no hulls, no anchors): the
+Expressions whose DNF explodes past :data:`MAX_CLAUSES` summarize to
+the universal summary (no signature, no hulls, no anchors): the
 covering index never lets them cover anything, and the partitioner
 never prunes an event away from them.
 """
@@ -42,14 +47,13 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..predicates.operators import Operator
-from . import normal_forms as _normal_forms
 from .ast import BooleanExpression
 from .covering import _bounds
-from .normal_forms import (
-    DisjunctiveNormalForm,
-    DnfExplosionError,
-    canonical_dnf,
-)
+from .normal_forms import DisjunctiveNormalForm, DnfExplosionError, to_dnf
+
+#: Clause cap of the DNF derivation behind a summary; an expression
+#: past it gets the universal summary.
+MAX_CLAUSES = 4_096
 
 #: Interval quadruple: (low, high, low_inclusive, high_inclusive) with
 #: ``None`` bounds meaning unbounded — the representation
@@ -157,8 +161,8 @@ def _pseudo_bounds(predicate) -> Interval | None:
 class ExpressionSummary:
     """Everything the prefilters and the router need, precomputed once.
 
-    ``dnf`` is ``None`` when the canonical derivation exploded past the
-    clause cap — such expressions are always maximal in the covering
+    ``dnf`` is ``None`` when the DNF derivation exploded past
+    :data:`MAX_CLAUSES` — such expressions are always maximal in the covering
     poset, never act as coverers, and are universal to the router (no
     event may be pruned away from them).
     """
@@ -177,39 +181,10 @@ class ExpressionSummary:
     anchors: Mapping[str, frozenset] = field(default_factory=dict)
 
 
-#: (expression, max_clauses) -> summary, LRU order.  One subscription
-#: propagating across a B-broker overlay enters B-1 covering indexes
-#: and one routed partitioner per sharded engine; the summary (like the
-#: DNF underneath it) is a pure function of the expression, so it is
-#: computed once, not once per consumer.
-_summary_cache: "dict[tuple[BooleanExpression, int], ExpressionSummary]" = {}
-_SUMMARY_CACHE_LIMIT = 16_384
-
-# summaries retain DNF objects: clear them whenever the DNF memo clears
-_normal_forms._dependent_cache_clearers.append(_summary_cache.clear)
-
-
-def summarize(
-    expression: BooleanExpression, *, max_clauses: int
-) -> ExpressionSummary:
-    """Build (or recall) the summary of one expression."""
-    key = (expression, max_clauses)
-    cached = _summary_cache.get(key)
-    if cached is not None:
-        _summary_cache[key] = _summary_cache.pop(key)  # refresh LRU slot
-        return cached
-    summary = _summarize(expression, max_clauses=max_clauses)
-    _summary_cache[key] = summary
-    if len(_summary_cache) > _SUMMARY_CACHE_LIMIT:
-        _summary_cache.pop(next(iter(_summary_cache)))
-    return summary
-
-
-def _summarize(
-    expression: BooleanExpression, *, max_clauses: int
-) -> ExpressionSummary:
+def summarize(expression: BooleanExpression) -> ExpressionSummary:
+    """Derive the summary of one expression (one DNF derivation)."""
     try:
-        dnf = canonical_dnf(expression, max_clauses=max_clauses)
+        dnf = to_dnf(expression, max_clauses=MAX_CLAUSES)
     except DnfExplosionError:
         return ExpressionSummary(None, frozenset(), {}, {}, {})
     attribute_sets = []

@@ -28,12 +28,17 @@ from repro import (
     NonCanonicalEngine,
     Subscription,
     UnsupportedSubscriptionError,
+    build_engine,
 )
 from repro.core.bitset import FulfilledMatrix
 from repro.events import Event
 from repro.indexes import IndexManager
 from repro.predicates import Operator, Predicate, PredicateRegistry
 from repro.workloads import GeneralSubscriptionGenerator
+
+#: The catalog engines that register negated predicates (the counting
+#: family and the matching tree reject them as unsupported).
+NEGATION_ENGINES = ("noncanonical", "paged", "bruteforce")
 
 # -- word boundaries the primitives must survive -----------------------
 BOUNDARY_VALUES = [
@@ -130,11 +135,12 @@ class TestFulfilledMatrix:
         assert matrix.select([0, 1, 2]) is matrix
         assert matrix.select(range(3)) is matrix
 
-    def test_empty_assignment_matcher_skips_unselected_rows(self):
+    @pytest.mark.parametrize("name", NEGATION_ENGINES)
+    def test_empty_assignment_matcher_skips_unselected_rows(self, name):
         """``not x = 1`` matches an event fulfilling nothing — but not a
         row its shard was pruned from, and only selected rows count as
         phase-2 calls."""
-        engine = NonCanonicalEngine()
+        engine = build_engine(name)
         subscription = Subscription.from_text("not x = 1")
         engine.register(subscription)
         [pid] = engine.indexes.match(Event({"x": 1}))
@@ -143,6 +149,7 @@ class TestFulfilledMatrix:
         assert results == [set(), set(), {subscription.subscription_id}, set()]
         assert engine.counters.phase2_calls == 2
         assert engine.counters.matches_found == 1
+        engine.close()
 
     @given(
         st.lists(

@@ -1,21 +1,32 @@
-"""Tests for the incremental covering poset and the canonical-DNF cache."""
+"""Tests for the incremental covering poset and the lifetime of the
+summaries (and DNFs) it keeps."""
 
 from __future__ import annotations
 
+import gc
+import os
 import random
+import sys
+import tracemalloc
 
 import pytest
 
+from repro import BrokerNetwork, EngineSpec, build_engine
 from repro.subscriptions import (
     CoveringIndex,
-    canonical_dnf,
-    clear_dnf_cache,
+    Subscription,
     covers,
-    dnf_cache_stats,
     parse,
 )
-from repro.subscriptions.normal_forms import DnfExplosionError
-from repro.workloads import NetworkChurnScenario, StockScenario
+from repro.subscriptions import summary as summary_module
+from repro.workloads import NetworkChurnScenario, StockScenario, make_topology
+
+#: Source files whose allocations are derived forms: summaries and
+#: DNFs, and the ASTs a memo keyed on expressions would keep alive.
+DERIVING_MODULES = tuple(
+    os.path.join("subscriptions", name)
+    for name in ("summary.py", "normal_forms.py", "parser.py")
+)
 
 
 class TestAddOutcomes:
@@ -142,13 +153,11 @@ class TestRemoveOutcomes:
 
 class TestExplodingExpressions:
     def test_exploding_expression_is_isolated_maximal(self):
-        from repro.workloads import PaperSubscriptionGenerator
-
-        generator = PaperSubscriptionGenerator(
-            predicates_per_subscription=10, seed=1
+        # an AND of 13 two-way ORs: 8,192 clauses, past the 4,096 cap
+        big = parse(
+            " and ".join(f"(a{i} = 1 or b{i} = 2)" for i in range(13))
         )
-        big = generator.subscription().expression
-        index = CoveringIndex(max_clauses=4)
+        index = CoveringIndex()
         index.add(1, big)
         index.add(2, big)
         # neither can cover the other (conservative False on explosion)
@@ -281,56 +290,92 @@ class TestPrefilters:
                 assert identifier in covered_by
 
 
-class TestDnfCache:
-    def test_one_derivation_per_expression(self):
-        clear_dnf_cache()
-        expression = parse("(a = 1 or b = 2) and (c > 3 or d < 4)")
-        baseline = dnf_cache_stats()["derivations"]
-        first = canonical_dnf(expression)
-        for _ in range(5):
-            assert canonical_dnf(expression) is first
-        # an equal-but-distinct AST object hits the same entry
-        assert canonical_dnf(
-            parse("(a = 1 or b = 2) and (c > 3 or d < 4)")
-        ) is first
-        assert dnf_cache_stats()["derivations"] == baseline + 1
-        assert dnf_cache_stats()["hits"] >= 6
+def _summarize_counter(monkeypatch) -> list:
+    """Count :func:`summarize` calls, wherever a module imported it."""
+    calls: list = []
+    original = summary_module.summarize
 
-    def test_engines_and_covering_share_one_derivation(self):
-        from repro import CountingEngine, MatchingTreeEngine
-        from repro.subscriptions import Subscription
+    def counted(expression):
+        calls.append(expression)
+        return original(expression)
 
-        clear_dnf_cache()
-        subscription = Subscription.from_text(
-            "(x = 1 or y = 2) and (z > 3 or w < 4)"
+    for module in list(sys.modules.values()):
+        if getattr(module, "summarize", None) is original:
+            monkeypatch.setattr(module, "summarize", counted)
+    return calls
+
+
+class TestOneDerivationPerSubscribe:
+    """The network and the routed partitioner derive a subscription's
+    summary once and hand it to each consumer that keeps it."""
+
+    @pytest.mark.parametrize("covering", [True, False])
+    def test_tree_propagation_derives_once(self, monkeypatch, covering):
+        network = BrokerNetwork(covering_enabled=covering)
+        topology = make_topology("tree", 8)
+        topology.build(network, engine="noncanonical")
+        calls = _summarize_counter(monkeypatch)
+        network.subscribe(
+            topology.brokers[0], "key = 'k001' and value between [1, 9]"
         )
-        baseline = dnf_cache_stats()["derivations"]
-        counting = CountingEngine()
-        tree = MatchingTreeEngine()
-        counting.register(subscription)
-        tree.register(subscription)
-        assert covers(subscription.expression, subscription.expression)
-        index = CoveringIndex()
-        index.add(subscription.subscription_id, subscription.expression)
-        assert dnf_cache_stats()["derivations"] == baseline + 1
-        counting.close()
-        tree.close()
+        # seven remote routing tables share one derivation
+        assert network.stats.hops_visited == 7
+        assert len(calls) == (1 if covering else 0)
 
-    def test_cap_violation_still_raises(self):
-        clear_dnf_cache()
-        expression = parse(
-            "(a = 1 or b = 2) and (c = 3 or d = 4) and (e = 5 or f = 6)"
-        )
-        dnf = canonical_dnf(expression)  # 8 clauses, cached
-        assert len(dnf) == 8
-        with pytest.raises(DnfExplosionError):
-            canonical_dnf(expression, max_clauses=4)
+    def test_table_toggled_alone_derives_its_own(self, monkeypatch):
+        network = BrokerNetwork(covering_enabled=False)
+        for name in ("a", "b"):
+            network.add_broker(name, engine="noncanonical")
+        network.connect("a", "b")
+        network.routing_table("b").covering_enabled = True
+        calls = _summarize_counter(monkeypatch)
+        network.subscribe("a", "x > 0")
+        narrow = network.subscribe("a", "x > 5")
+        assert len(calls) == 2
+        assert network.routing_table("b").is_suppressed(narrow.id)
 
-    def test_explosion_then_larger_cap_retries(self):
-        clear_dnf_cache()
-        expression = parse(
-            "(a = 1 or b = 2) and (c = 3 or d = 4) and (e = 5 or f = 6)"
+    def test_routed_sharded_register_derives_once(self, monkeypatch):
+        engine = build_engine(
+            EngineSpec("noncanonical", {"shards": 4, "partitioner": "routed"})
         )
-        with pytest.raises(DnfExplosionError):
-            canonical_dnf(expression, max_clauses=4)
-        assert len(canonical_dnf(expression, max_clauses=100)) == 8
+        subscription = Subscription.from_text("value > 10 and value < 20")
+        # hull-keyed: placement and the group's hull merge both read it
+        summary = summary_module.summarize(subscription.expression)
+        assert summary.hulls and not summary.anchors
+        calls = _summarize_counter(monkeypatch)
+        engine.register(subscription)
+        assert len(calls) == 1
+        engine.close()
+
+
+def test_derived_forms_do_not_outlive_their_subscriptions():
+    """Subscribing, then unsubscribing, a churn population on the tree
+    leaves (about) no bytes in the modules that derive and parse forms."""
+    network = BrokerNetwork(covering_enabled=True)
+    topology = make_topology("tree", 8)
+    topology.build(network, engine="noncanonical")
+    scenario = NetworkChurnScenario(seed=0)
+    texts = [
+        str(scenario.subscription("peer").expression) for _ in range(500)
+    ]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        handles = [
+            network.subscribe(topology.brokers[serial % 8], text)
+            for serial, text in enumerate(texts)
+        ]
+        for handle in handles:
+            network.unsubscribe(handle)
+        del handles
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    retained = sum(
+        stat.size
+        for stat in snapshot.statistics("filename")
+        if stat.traceback[0].filename.endswith(DERIVING_MODULES)
+    )
+    # the process-global memos kept about 1.06 MB here
+    assert retained < 16_384, retained

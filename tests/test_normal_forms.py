@@ -17,7 +17,6 @@ from repro.subscriptions import (
     Or,
     PredicateLeaf,
     dnf_clause_count,
-    dnf_literal_count,
     leaf,
     parse,
     to_dnf,
@@ -141,11 +140,6 @@ class TestDNF:
         expression = parse("(a = 1 or b = 2) and (c = 3 or d = 4) and e = 5")
         assert dnf_clause_count(expression) == len(to_dnf(expression)) == 4
 
-    def test_literal_count_closed_form(self):
-        expression = parse("(a = 1 or b = 2) and (c = 3 or d = 4)")
-        dnf = to_dnf(expression)
-        assert dnf_literal_count(expression) == dnf.total_literal_count() == 8
-
     def test_explosion_cap_enforced(self):
         generator = PaperSubscriptionGenerator(
             predicates_per_subscription=10, seed=1
@@ -174,7 +168,7 @@ class TestDNF:
         # post-DNF literal occurrences per original predicate occurrence:
         # 2**(|p|/2 - 1) = 8 for |p| = 8
         original = sum(1 for _ in expression.predicates())
-        assert dnf_literal_count(expression) / original == 8.0
+        assert to_dnf(expression).total_literal_count() / original == 8.0
 
     @given(random_expressions(max_leaves=5), random_events())
     @settings(max_examples=60)
