@@ -14,7 +14,10 @@ Covering-based routing-table compaction is on by default: a broker
 skips registering a subscription when a same-direction one already
 covers it (the covered alerts ride the coverer's forwarding), so the
 suppression ratio and per-broker routing-table sizes printed at the end
-show how much engine state the overlay saved.
+show how much engine state the overlay saved.  A broker's
+``matched_events`` counts only events that matched a subscription homed
+there, so the hub and ``lima``, which host no bidder and only forward,
+report none.
 
 Topology:
 

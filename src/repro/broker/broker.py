@@ -23,7 +23,7 @@ The public surface:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ..core.base import FilterEngine
 from ..core.registry import EngineSpec, resolve_engine
@@ -34,9 +34,12 @@ from .handle import SubscriptionHandle
 from .sinks import DeliverySink, as_sink
 
 
-@dataclass(frozen=True)
-class Notification:
-    """A delivery: ``event`` matched ``subscription_id`` for ``subscriber``."""
+class Notification(NamedTuple):
+    """A delivery: ``event`` matched ``subscription_id`` for ``subscriber``.
+
+    An immutable tuple of its four fields, so it unpacks and compares
+    equal to a plain tuple of the same values.
+    """
 
     event: Event
     subscription_id: int
@@ -301,68 +304,55 @@ class Broker:
         self, events: Sequence[Event]
     ) -> list[list[Notification]]:
         """The one publish path: validate the whole batch, match it with
-        one engine invocation, deliver per event."""
+        one engine invocation, deliver per matched event."""
         if self.schema is not None:
             for event in events:
                 self.schema.validate(event)
         self.stats.events_published += len(events)
         matched_sets = self.engine.match_batch(events)
         batched: list[list[Notification]] = []
-        delivered = 0
         for event, matched in zip(events, matched_sets):
             if matched:
                 self.stats.events_matched += 1
-            notifications = self._deliver(event, matched)
-            delivered += len(notifications)
-            batched.append(notifications)
-        self.stats.notifications_delivered += delivered
+                batched.append(self.notify_local(event, sorted(matched)))
+            else:
+                batched.append([])
         return batched
 
-    def _deliver(self, event: Event, matched: set[int]) -> list[Notification]:
-        """Build and deliver notifications for one matched event.
-
-        Paused handles are skipped entirely (no notification object).  A
-        bounded sink may still drop internally — that shows up in the
-        sink's own ``dropped`` counter, not here.
-        """
-        notifications = []
-        for subscription_id in sorted(matched):
-            handle = self._handles.get(subscription_id)
-            if handle is not None and handle.paused:
-                continue
-            notification = Notification(
-                event=event,
-                subscription_id=subscription_id,
-                subscriber=handle.subscriber if handle is not None else None,
-                broker=self.name,
-            )
-            if handle is not None and handle.sink is not None:
-                handle.sink.deliver(notification)
-            notifications.append(notification)
-        return notifications
-
     def notify_local(
-        self, event: Event, subscription_id: int
-    ) -> Notification | None:
-        """Deliver one notification to a locally-registered subscriber.
+        self, event: Event, subscription_ids: Iterable[int]
+    ) -> list[Notification]:
+        """Build and deliver one event's notifications — the one delivery
+        loop, shared by :meth:`publish` and the overlay network.
 
-        Used by the overlay network when an event reaches a
-        subscription's home broker; feeds the handle's sink.  Returns
-        ``None`` (and delivers nothing) when the handle is paused.
+        Notifications follow the order of ``subscription_ids`` (callers
+        pass ascending ids).  Paused handles are skipped entirely (no
+        notification object, no sink call); an id with no handle here
+        yields a notification with ``subscriber=None``.  A bounded sink
+        may still drop internally — that shows up in the sink's own
+        ``dropped`` counter, not here.
         """
-        handle = self._handles[subscription_id]
-        if handle.paused:
-            return None
-        notification = Notification(
-            event=event,
-            subscription_id=subscription_id,
-            subscriber=handle.subscriber,
-            broker=self.name,
-        )
-        if handle.sink is not None:
-            handle.sink.deliver(notification)
-        self.stats.notifications_delivered += 1
-        return notification
+        handles = self._handles
+        name = self.name
+        notifications = []
+        for subscription_id in subscription_ids:
+            handle = handles.get(subscription_id)
+            if handle is None:
+                subscriber = sink = None
+            elif handle._paused:
+                continue
+            else:
+                subscriber = handle._subscriber
+                sink = handle.sink
+            # tuple.__new__ skips the NamedTuple's Python-level __new__
+            notification = tuple.__new__(
+                Notification, (event, subscription_id, subscriber, name)
+            )
+            if sink is not None:
+                sink.deliver(notification)
+            notifications.append(notification)
+        self.stats.notifications_delivered += len(notifications)
+        return notifications
 
     # ------------------------------------------------------------------
     # maintenance

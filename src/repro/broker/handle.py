@@ -35,7 +35,7 @@ class SubscriptionHandle:
     at that broker.
     """
 
-    __slots__ = ("subscription", "sink", "_owner", "_active", "_paused")
+    __slots__ = ("subscription", "sink", "_owner", "_active", "_paused", "_subscriber")
 
     def __init__(
         self,
@@ -45,6 +45,8 @@ class SubscriptionHandle:
         owner: _HandleOwner,
     ) -> None:
         self.subscription = subscription
+        # beside the pause flag and sink: delivery reads all three per match
+        self._subscriber = subscription.subscriber
         #: where matched notifications go; ``None`` means match-only
         self.sink = sink
         self._owner = owner
@@ -72,7 +74,7 @@ class SubscriptionHandle:
     @property
     def subscriber(self) -> str | None:
         """The subscribing client's name, if any."""
-        return self.subscription.subscriber
+        return self._subscriber
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -359,21 +359,21 @@ class BrokerNetwork:
             next_hop = self._routing[current].hops
             forward: dict[str, list[int]] = {}
             for index, event, matched in zip(indices, subset, matched_sets):
-                if matched:
-                    broker.stats.events_matched += 1
-                received = deliveries[index]
+                if not matched:
+                    continue
+                local: list[int] = []
                 forwarded_to: set[str] = set()
                 for sid in sorted(matched):
                     hop = next_hop.get(sid)
                     if hop is None:
-                        # this broker is the subscription's home: deliver
-                        # (None means the handle is paused — no delivery)
-                        notification = broker.notify_local(event, sid)
-                        if notification is not None:
-                            received.append(notification)
+                        # this broker is the subscription's home
+                        local.append(sid)
                     elif hop != came_from and hop not in forwarded_to:
                         forwarded_to.add(hop)
                         forward.setdefault(hop, []).append(index)
+                if local:
+                    broker.stats.events_matched += 1
+                    deliveries[index] += broker.notify_local(event, local)
             for neighbor, neighbor_indices in forward.items():
                 self.stats.broker_hops += 1
                 frontier.append((current, neighbor, neighbor_indices))

@@ -31,12 +31,15 @@ class AttributeType(enum.Enum):
         ``INT`` values are also accepted where ``FLOAT`` is declared, as in
         most typed event systems.
         """
-        return {
-            AttributeType.INT: (int,),
-            AttributeType.FLOAT: (int, float),
-            AttributeType.STRING: (str,),
-            AttributeType.BOOL: (bool,),
-        }[self]
+        return _PYTHON_TYPES[self]
+
+
+_PYTHON_TYPES = {
+    AttributeType.INT: (int,),
+    AttributeType.FLOAT: (int, float),
+    AttributeType.STRING: (str,),
+    AttributeType.BOOL: (bool,),
+}
 
 
 class SchemaViolationError(ValueError):
@@ -100,6 +103,9 @@ class EventSchema(Mapping[str, AttributeSpec]):
             if spec.name in self._specs:
                 raise ValueError(f"duplicate attribute {spec.name!r} in schema")
             self._specs[spec.name] = spec
+        self._required = frozenset(
+            n for n, s in self._specs.items() if s.required
+        )
 
     @property
     def name(self) -> str:
@@ -109,7 +115,7 @@ class EventSchema(Mapping[str, AttributeSpec]):
     @property
     def required_attributes(self) -> frozenset[str]:
         """Names of all attributes events must carry."""
-        return frozenset(n for n, s in self._specs.items() if s.required)
+        return self._required
 
     def __getitem__(self, name: str) -> AttributeSpec:
         return self._specs[name]
@@ -129,7 +135,7 @@ class EventSchema(Mapping[str, AttributeSpec]):
             If a required attribute is missing, an undeclared attribute is
             present, or a value has the wrong type.
         """
-        missing = self.required_attributes - set(event)
+        missing = self._required.difference(event)
         if missing:
             raise SchemaViolationError(
                 f"event is missing required attributes: {sorted(missing)}"

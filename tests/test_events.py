@@ -165,6 +165,44 @@ class TestEventSchema:
         with pytest.raises(SchemaViolationError):
             schema.validate(Event({"symbol": "A", "price": "cheap"}))
 
+    def test_missing_names_every_required_attribute(self, schema):
+        with pytest.raises(SchemaViolationError, match=r"\['price', 'symbol'\]"):
+            schema.validate(Event({"note": "hi"}))
+
+    def test_wrong_type_names_attribute_and_types(self, schema):
+        with pytest.raises(
+            SchemaViolationError, match="'symbol': expected string, got int"
+        ):
+            schema.validate(Event({"symbol": 3, "price": 1.0}))
+
+    def test_bool_rejected_for_int_attribute(self):
+        schema = EventSchema(
+            "counter", [AttributeSpec("n", AttributeType.INT, required=True)]
+        )
+        with pytest.raises(SchemaViolationError, match="expected int, got bool"):
+            schema.validate(Event({"n": True}))
+        schema.validate(Event({"n": 1}))
+
+    def test_rejections_leave_the_schema_reusable(self, schema):
+        """The required set and type table are built once and shared by
+        every call, so a rejection must not disturb later checks."""
+        rejected = [
+            Event({"symbol": "A"}),
+            Event({"symbol": "A", "price": 1.0, "x": 1}),
+            Event({"symbol": "A", "price": "cheap"}),
+            Event({"symbol": "A", "price": True}),
+        ]
+        for _ in range(2):
+            assert not any(schema.conforms(event) for event in rejected)
+            assert schema.conforms(Event({"symbol": "A", "price": 2}))
+        assert schema.required_attributes == {"symbol", "price"}
+
+    def test_python_types_per_attribute_type(self):
+        assert AttributeType.INT.python_types == (int,)
+        assert AttributeType.FLOAT.python_types == (int, float)
+        assert AttributeType.STRING.python_types == (str,)
+        assert AttributeType.BOOL.python_types == (bool,)
+
     def test_conforms_is_boolean_form(self, schema):
         assert schema.conforms(Event({"symbol": "A", "price": 1.0}))
         assert not schema.conforms(Event({"symbol": "A"}))

@@ -68,6 +68,14 @@ def test_broker_network():
     assert "suppressed)" in out
     assert "memory_pressure" in out
     assert "busiest subscriber" in out
+    # forwarding-only brokers (no homed subscriber) match no event locally
+    matched = {
+        line.split()[0]: line.split("matched_events=")[1].split()[0]
+        for line in out.splitlines()
+        if "matched_events=" in line
+    }
+    assert matched["geneva"] == matched["lima"] == "0"
+    assert int(matched["tokyo"]) > 0 and int(matched["cusco"]) > 0
 
 
 @pytest.mark.slow

@@ -181,3 +181,15 @@ class TestNetworkAccounting:
         assert stats.notifications_delivered == 1
         assert stats.hops_visited == 1
         assert stats.registrations_forwarded == 1
+
+    def test_forwarding_broker_counts_no_matched_event(self):
+        """``events_matched`` counts events with a *local* match: ``a``
+        only forwards toward ``b``'s subscriber, so it matched none."""
+        network = linear_network("a", "b")
+        network.subscribe("b", "x = 1")
+        network.publish("a", Event({"x": 1}))
+        origin, home = network.broker("a").stats, network.broker("b").stats
+        assert (origin.events_published, origin.events_matched) == (1, 0)
+        assert origin.notifications_delivered == 0
+        assert (home.events_published, home.events_matched) == (1, 1)
+        assert home.notifications_delivered == 1

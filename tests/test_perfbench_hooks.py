@@ -39,7 +39,12 @@ COMMON_SPANS = {
 WORKLOAD_SPANS = {
     "paper-b256": {"traffic": {"broker.publish"}},
     "hotkey-b32": {
-        "traffic": {"broker.publish", "core.dispatch", "core.shard_route"},
+        "traffic": {
+            "broker.publish",
+            "broker.deliver",
+            "core.dispatch",
+            "core.shard_route",
+        },
     },
     "overlay-churn": {
         "setup": {
