@@ -7,7 +7,8 @@ Two structural claims, counter-asserted rather than timed:
   o(N²) *exact* ``covers()`` tests on corpora where the prefilters
   apply (band-structured subscriptions): the index counts its exact
   tests and the bound is linear with a small constant, versus ~N²/2 for
-  an all-pairs scan;
+  an all-pairs scan, and the keyed bucket lookup keeps interval
+  (hull) tests to a few per add and per remove under churn;
 * **the network sweep routes** — the covering overlays of
   :func:`~repro.experiments.harness.run_network_sweep` carry a nonzero
   suppression ratio on every topology, at least
@@ -32,6 +33,12 @@ NETWORK_TREE_MIN_SUPPRESSION = 0.10
 #: all-pairs scan would need ~N/2 per subscription, ~100× this at the
 #: benchmark's N=512).
 COVERING_MAX_EXACT_CALLS_PER_SUB = 6.0
+
+#: On the churn corpus, interval-prefilter (hull) tests per add and per
+#: remove: a signature bucket's keyed lookup must keep the searches to
+#: the members that share the candidate's key value.
+COVERING_MAX_HULL_TESTS_PER_ADD = 4.0
+COVERING_MAX_HULL_TESTS_PER_REMOVE = 8.0
 
 
 def test_covering_index_exact_tests_stay_subquadratic():
@@ -72,14 +79,27 @@ def test_covering_index_beats_all_pairs_even_with_churn():
     scenario = NetworkChurnScenario(seed=0)
     index = CoveringIndex()
     live = []
-    total_adds = 0
+    total_adds = total_removes = 0
+    add_hull_tests = remove_hull_tests = 0
     for step, subscription in enumerate(scenario.subscriptions(300)):
+        before = index.hull_tests
         index.add(subscription.subscription_id, subscription.expression)
+        add_hull_tests += index.hull_tests - before
         live.append(subscription.subscription_id)
         total_adds += 1
         if step % 3 == 2:
+            before = index.hull_tests
             index.remove(live.pop(0))
+            remove_hull_tests += index.hull_tests - before
+            total_removes += 1
     assert index.covers_calls <= 40 * total_adds  # ≪ N²/2 = 45_000
+    # the keyed bucket lookup hull-tests only same-key members (about
+    # 1.4 per add and 3.2 per remove here; a flat bucket scan tests
+    # every maximal member of a bucket, 24.2 and 65.2)
+    assert add_hull_tests <= COVERING_MAX_HULL_TESTS_PER_ADD * total_adds
+    assert remove_hull_tests <= (
+        COVERING_MAX_HULL_TESTS_PER_REMOVE * total_removes
+    )
 
 
 def test_quick_network_records_report_suppression():

@@ -27,9 +27,23 @@ What makes it cheap:
   condition of the layered covering test whenever the coverer
   constrains the attribute in every clause, so band-structured corpora
   (price bands, value ranges) resolve almost every candidate pair
-  without an exact clause-level test.
+  without an exact clause-level test;
+* **keyed bucket lookup** — each signature bucket keys its ids on one
+  attribute of its signature (the smallest name, fixed for the bucket's
+  lifetime).  Ids whose coverer hull and covered hull there are both the
+  closed point ``[v, v]`` of a number or string sit in ``points[v]``;
+  every other id sits in one ``rest`` list.  A search whose partner
+  hull on the key is the point ``v`` reads only ``points[v]`` and
+  ``rest``; any other search reads every id.  The lookup pays off only
+  when that smallest attribute is pinned to an equality point (as
+  ``key`` is in every covering workload).  The skipped ids are
+  exactly ones the interval prefilter rejects (or, across value
+  domains, ones the exact test rejects: an equality literal is implied
+  only by a literal of its own domain), so the scan finds the same
+  first coverer in the same ascending-id order, with a hull test per
+  *plausible* member instead of per member.
 
-Both prefilters are *necessary conditions* of the layered test in
+All three prefilters are *necessary conditions* of the layered test in
 :mod:`repro.subscriptions.covering` — they never prune a pair the exact
 test would accept — so the index computes exactly the poset that
 pairwise ``covers()`` calls would, in ``o(N²)`` exact tests on corpora
@@ -40,8 +54,9 @@ counter is asserted against in ``benchmarks/test_network_routing.py``).
 from __future__ import annotations
 
 import bisect
+import heapq
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .ast import BooleanExpression
 from .covering import _interval_contains, dnf_covers
@@ -70,6 +85,104 @@ def _hull_fits(coverer: _Summary, covered: _Summary) -> bool:
         except TypeError:
             continue
     return True
+
+
+#: Value types whose points are keyed: totally ordered within a domain
+#: (numbers, strings), and a ``TypeError`` across domains.  A point of
+#: any other type (a frozenset, say) is treated as no point at all.
+_KEYED_TYPES = frozenset((int, float, str, bool))
+
+
+def _point(hull):
+    """``v`` when ``hull`` is the closed one-point interval ``[v, v]``
+    of a keyed type, else ``None`` (also for NaN, which equals
+    nothing)."""
+    if (
+        isinstance(hull, tuple)
+        and type(hull[0]) in _KEYED_TYPES
+        and hull[0] == hull[1]
+        and hull[2]
+        and hull[3]
+    ):
+        return hull[0]
+    return None
+
+
+class _Bucket:
+    """The maximal ids of one required-attribute signature, keyed on
+    the signature's smallest attribute name.
+
+    ``points[v]`` holds the ids whose coverer hull *and* covered hull on
+    the key are both the closed point ``[v, v]``; ``rest`` holds every
+    other id (wider or missing hulls, ``"empty"`` clause hulls, NaN, an
+    empty signature).  Every list stays sorted, so merged scans visit
+    candidates in ascending id order.
+    """
+
+    __slots__ = ("key", "points", "rest", "size")
+
+    def __init__(self, signature: frozenset) -> None:
+        self.key = min(signature, default=None)
+        self.points: dict[object, list[int]] = {}
+        self.rest: list[int] = []
+        self.size = 0
+
+    def _point_of(self, summary: _Summary):
+        """The member's key point, or ``None`` when it belongs in
+        ``rest``: both its hulls on the key must be the same point."""
+        hull = summary.hulls.get(self.key)
+        point = _point(hull)
+        if point is not None and hull == summary.clause_hulls.get(self.key):
+            return point
+        return None
+
+    def insert(self, identifier: int, summary: _Summary) -> None:
+        point = self._point_of(summary)
+        slot = self.rest if point is None else self.points.setdefault(point, [])
+        bisect.insort(slot, identifier)
+        self.size += 1
+
+    def discard(self, identifier: int, summary: _Summary) -> None:
+        point = self._point_of(summary)
+        if point is None:
+            self.rest.remove(identifier)
+        else:
+            slot = self.points[point]
+            slot.remove(identifier)
+            if not slot:
+                del self.points[point]
+        self.size -= 1
+
+    def _at(self, point) -> tuple[Iterable[int], int]:
+        same = self.points.get(point)
+        if not same:
+            return self.rest, len(self.rest)
+        if not self.rest:
+            return same, len(same)
+        return heapq.merge(same, self.rest), len(same) + len(self.rest)
+
+    def _every(self) -> tuple[Iterable[int], int]:
+        if not self.points:
+            return self.rest, self.size
+        return heapq.merge(self.rest, *self.points.values()), self.size
+
+    def coverer_candidates(
+        self, covered: _Summary
+    ) -> tuple[Iterable[int], int]:
+        """Ids that may cover ``covered`` (ascending), and their count."""
+        point = _point(covered.clause_hulls.get(self.key))
+        if point is not None:
+            return self._at(point)
+        return self._every()
+
+    def covered_candidates(
+        self, coverer: _Summary
+    ) -> tuple[Iterable[int], int]:
+        """Ids ``coverer`` may cover (ascending), and their count."""
+        point = _point(coverer.hulls.get(self.key))
+        if point is not None:
+            return self._at(point)
+        return self._every()
 
 
 @dataclass(frozen=True)
@@ -123,16 +236,18 @@ class CoveringIndex:
         self._children: dict[int, set[int]] = {}
         self._maximal: set[int] = set()
         #: maximal ids with a usable DNF, bucketed by required-attribute
-        #: signature — the unit the signature prefilter skips.  Each
-        #: bucket is kept sorted (candidate scans are deterministic
-        #: without re-sorting on every add/remove).
-        self._buckets: dict[frozenset, list[int]] = {}
+        #: signature — the unit the signature prefilter skips — and
+        #: keyed inside each bucket (see :class:`_Bucket`)
+        self._buckets: dict[frozenset, _Bucket] = {}
         #: exact clause-level covering tests performed (the o(N²) claim)
         self.covers_calls = 0
         #: candidate ids discarded by the signature prefilter
         self.signature_pruned = 0
-        #: candidate ids discarded by the interval prefilter
+        #: candidate ids discarded by the interval prefilter, whether a
+        #: hull test rejected them or the keyed lookup skipped them
         self.interval_pruned = 0
+        #: interval-prefilter (hull containment) tests evaluated
+        self.hull_tests = 0
 
     # ------------------------------------------------------------------
     # queries
@@ -198,7 +313,7 @@ class CoveringIndex:
             else summarize(expression)
         )
         self._summaries[identifier] = summary
-        coverer = self._find_coverer(summary, exclude=identifier)
+        coverer = self._find_coverer(summary)
         if coverer is not None:
             self._covered_by[identifier] = coverer
             self._children.setdefault(coverer, set()).add(identifier)
@@ -206,9 +321,7 @@ class CoveringIndex:
         # the new member is maximal: see whether it absorbs any current
         # maximal members (later-arriving wide subscriptions compact the
         # table retroactively)
-        absorbed = tuple(
-            sorted(self._find_covered(summary, exclude=identifier))
-        )
+        absorbed = tuple(sorted(self._find_covered(summary)))
         self._set_maximal(identifier, summary)
         for victim in absorbed:
             self._absorb(victim, into=identifier)
@@ -245,12 +358,14 @@ class CoveringIndex:
         self._unset_maximal(identifier, summary)
         orphans = sorted(self._children.pop(identifier, ()))
         reabsorbed: dict[int, int] = {}
-        newly_exposed: list[int] = []
+        #: promoted orphans in promotion order (a dict: O(1) demotion
+        #: when a later orphan absorbs one)
+        newly_exposed: dict[int, None] = {}
         absorbed: list[int] = []
         for orphan in orphans:
             del self._covered_by[orphan]
             orphan_summary = self._summaries[orphan]
-            new_coverer = self._find_coverer(orphan_summary, exclude=orphan)
+            new_coverer = self._find_coverer(orphan_summary)
             if new_coverer is not None:
                 self._covered_by[orphan] = new_coverer
                 self._children.setdefault(new_coverer, set()).add(orphan)
@@ -259,16 +374,16 @@ class CoveringIndex:
             # promote — with the same absorb step add() performs, so a
             # wide orphan re-covers its earlier-promoted siblings (and
             # any maximal the layered test only now relates to it)
-            victims = self._find_covered(orphan_summary, exclude=orphan)
+            victims = self._find_covered(orphan_summary)
             self._set_maximal(orphan, orphan_summary)
             for victim in victims:
                 self._absorb(victim, into=orphan)
                 if victim in newly_exposed:
-                    newly_exposed.remove(victim)
+                    del newly_exposed[victim]
                     reabsorbed[victim] = orphan
                 else:
                     absorbed.append(victim)
-            newly_exposed.append(orphan)
+            newly_exposed[orphan] = None
         return RemoveOutcome(
             identifier,
             was_covered=False,
@@ -283,23 +398,26 @@ class CoveringIndex:
     def _set_maximal(self, identifier: int, summary: _Summary) -> None:
         self._maximal.add(identifier)
         if summary.dnf is not None:
-            bisect.insort(
-                self._buckets.setdefault(summary.required, []), identifier
-            )
+            bucket = self._buckets.get(summary.required)
+            if bucket is None:
+                bucket = self._buckets[summary.required] = _Bucket(
+                    summary.required
+                )
+            bucket.insert(identifier, summary)
 
     def _unset_maximal(self, identifier: int, summary: _Summary) -> None:
         self._maximal.discard(identifier)
         if summary.dnf is not None:
             bucket = self._buckets.get(summary.required)
             if bucket is not None:
-                bucket.remove(identifier)
-                if not bucket:
+                bucket.discard(identifier, summary)
+                if not bucket.size:
                     del self._buckets[summary.required]
 
     # ------------------------------------------------------------------
     # candidate search
     # ------------------------------------------------------------------
-    def _find_coverer(self, covered: _Summary, *, exclude: int) -> int | None:
+    def _find_coverer(self, covered: _Summary) -> int | None:
         """A live maximal id whose expression covers ``covered``."""
         if covered.dnf is None:
             return None
@@ -307,12 +425,13 @@ class CoveringIndex:
             # a coverer's required attributes are a subset of the
             # covered expression's (necessary for the layered test)
             if not signature <= covered.required:
-                self.signature_pruned += len(bucket)
+                self.signature_pruned += bucket.size
                 continue
-            for candidate in bucket:
-                if candidate == exclude:
-                    continue
+            candidates, count = bucket.coverer_candidates(covered)
+            self.interval_pruned += bucket.size - count
+            for candidate in candidates:
                 summary = self._summaries[candidate]
+                self.hull_tests += 1
                 if not _hull_fits(summary, covered):
                     self.interval_pruned += 1
                     continue
@@ -320,19 +439,20 @@ class CoveringIndex:
                     return candidate
         return None
 
-    def _find_covered(self, coverer: _Summary, *, exclude: int) -> list[int]:
+    def _find_covered(self, coverer: _Summary) -> list[int]:
         """Live maximal ids that ``coverer`` covers."""
         if coverer.dnf is None:
             return []
         found: list[int] = []
         for signature, bucket in self._buckets.items():
             if not coverer.required <= signature:
-                self.signature_pruned += len(bucket)
+                self.signature_pruned += bucket.size
                 continue
-            for candidate in bucket:
-                if candidate == exclude:
-                    continue
+            candidates, count = bucket.covered_candidates(coverer)
+            self.interval_pruned += bucket.size - count
+            for candidate in candidates:
                 summary = self._summaries[candidate]
+                self.hull_tests += 1
                 if not _hull_fits(coverer, summary):
                     self.interval_pruned += 1
                     continue

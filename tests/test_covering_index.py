@@ -4,6 +4,7 @@ summaries (and DNFs) it keeps."""
 from __future__ import annotations
 
 import gc
+import hashlib
 import os
 import random
 import sys
@@ -11,14 +12,17 @@ import tracemalloc
 
 import pytest
 
-from repro import BrokerNetwork, EngineSpec, build_engine
+from repro import BrokerNetwork, EngineSpec, Operator, Predicate, build_engine
 from repro.subscriptions import (
     CoveringIndex,
     Subscription,
+    conjunction,
     covers,
+    leaf,
     parse,
 )
 from repro.subscriptions import summary as summary_module
+from repro.subscriptions.covering_index import _hull_fits
 from repro.workloads import NetworkChurnScenario, StockScenario, make_topology
 
 #: Source files whose allocations are derived forms: summaries and
@@ -255,6 +259,42 @@ class TestPrefilters:
         assert index.covers_calls == 0
         assert index.signature_pruned > 0
 
+    def test_keyed_lookup_tests_only_same_key_members(self):
+        index = CoveringIndex()
+        for i in range(10):
+            index.add(i, parse(f"key = 'k{i}' and v > {i}"))
+        hull_tests, pruned = index.hull_tests, index.interval_pruned
+        outcome = index.add(10, parse("key = 'k3' and v > 5"))
+        assert outcome.covered_by == 3
+        # one hull test; the nine other keys are skipped unseen
+        assert index.hull_tests - hull_tests == 1
+        assert index.interval_pruned - pruned == 9
+
+    def test_keyed_lookup_still_tests_wider_members(self):
+        index = CoveringIndex()
+        index.add(1, parse("(x = 3 and y = 2) or (x = 4 and y = 1)"))
+        index.add(2, parse("x = 3 and y = 5"))     # keyed under x = 3
+        # a point on the key is tested against wider members as well
+        assert index.add(3, parse("x = 3 and y = 2")).covered_by == 1
+
+    @pytest.mark.parametrize("wide_first", [True, False])
+    def test_keyed_lookup_keeps_ascending_id_order(self, wide_first):
+        wide = parse("(x = 3 and y = 2) or (x = 4 and y = 1)")
+        keyed = parse("(x = 3 and y = 2) or (x = 3 and y = 7)")
+        index = CoveringIndex()
+        index.add(1, wide if wide_first else keyed)
+        index.add(2, keyed if wide_first else wide)
+        # both maximal members cover it: the smaller id wins, whichever
+        # of them sits in ``rest`` and whichever under x = 3
+        assert index.add(3, parse("x = 3 and y = 2")).covered_by == 1
+
+    def test_point_coverer_hull_with_empty_clause_hull_is_not_keyed(self):
+        index = CoveringIndex()
+        index.add(1, parse("x = 3 and x in {5}"))  # coverer hull [3, 3]
+        # unsatisfiable, so its clause hull is "empty": x = 5 must still
+        # test it (and the exact test accepts through x in {5})
+        assert index.add(2, parse("x = 5")).newly_covered == (1,)
+
     def test_prefiltered_poset_matches_pairwise_oracle(self):
         # the prefilters are necessary conditions: the maximal set must
         # equal the one a full pairwise scan would produce
@@ -288,6 +328,195 @@ class TestPrefilters:
                 assert not coverable or equivalents, identifier
             else:
                 assert identifier in covered_by
+
+
+def _edge_corpus() -> list:
+    """Expressions on the corners of the keyed bucket lookup: points of
+    different value domains, bool against int equality, one-value
+    ``IN``, ORs of points, unsatisfiable clauses, NaN, set-valued points
+    (ordered by inclusion, so the hull test passes ``{1}`` against
+    ``{2}``) and an exploding DNF, mixed into three required-attribute
+    signatures."""
+    texts = [
+        "x = 'a'",
+        "x = 3",
+        "x = 3.0",
+        "x = true",
+        "x = 1",
+        "x in {3}",
+        "x in {1, 2}",
+        "x = 1 or x = 2",
+        "x = 2",
+        "x = 'a' or x = 3",
+        "x = 1 and x = 2",          # unsatisfiable: an "empty" hull
+        "x = 3 and x in {5}",       # point coverer hull, "empty" clause hull
+        "x = 5",
+        "x > 5 and x < 3",
+        "x between [1, 3]",
+        "x >= 1",
+        "x > 'a'",
+        "x != 3",
+        "x = 3 and y = 1",
+        "x = 'a' and y > 0",
+        "x = 1 and y > 0",
+        "(x = 1 and y = 1) or (x = 1 and y = 2)",
+        "(x = 3 and y = 2) or (x = 4 and y = 1)",
+        "x = 3 and y = 2",
+        "x = 3 and y = 5",
+        "y = 1",
+    ]
+    corpus = [parse(text) for text in texts]
+    nan = leaf(Predicate("x", Operator.EQ, float("nan")))
+    corpus.append(nan)
+    corpus.append(conjunction([nan, parse("y = 1")]))
+    for value in ({1}, {2}):
+        corpus.append(leaf(Predicate("x", Operator.EQ, frozenset(value))))
+    corpus.append(
+        parse(
+            "x = 3 and "
+            + " and ".join(f"(a{i} = 1 or b{i} = 2)" for i in range(13))
+        )
+    )
+    return corpus
+
+
+class _FlatScan(CoveringIndex):
+    """The search without keyed lookups: every maximal id of every
+    admitted signature bucket gets a hull test, in ascending id order."""
+
+    def _admitted(self, admits):
+        for signature, bucket in self._buckets.items():
+            if admits(signature):
+                points = [i for ids in bucket.points.values() for i in ids]
+                for candidate in sorted(bucket.rest + points):
+                    self.hull_tests += 1
+                    yield candidate
+
+    def _find_coverer(self, covered):
+        if covered.dnf is None:
+            return None
+        for candidate in self._admitted(lambda s: s <= covered.required):
+            summary = self._summaries[candidate]
+            if _hull_fits(summary, covered) and self._covers(summary, covered):
+                return candidate
+        return None
+
+    def _find_covered(self, coverer):
+        if coverer.dnf is None:
+            return []
+        return [
+            candidate
+            for candidate in self._admitted(lambda s: coverer.required <= s)
+            if _hull_fits(coverer, self._summaries[candidate])
+            and self._covers(coverer, self._summaries[candidate])
+        ]
+
+
+def _assert_pairwise_invariants(index, members, outcome, covers_matrix):
+    """What pairwise ``covers()`` calls pin down about a poset kept by
+    searching maximal members only; ``members`` maps live ids to corpus
+    positions."""
+    maximal = index.maximal_ids()
+    covered_by = index.covered_mapping()
+    assert maximal | set(covered_by) == set(members)
+    assert not (maximal & set(covered_by))
+    assert all(coverer in maximal for coverer in covered_by.values())
+    # absorption completeness: no maximal member covers another
+    for first in maximal:
+        for second in maximal:
+            assert first == second or not covers_matrix[members[first]][
+                members[second]
+            ], (first, second)
+    # every relation the outcome reports rests on an exact test
+    if hasattr(outcome, "newly_covered"):
+        pairs = [(victim, outcome.identifier) for victim in outcome.newly_covered]
+        if outcome.covered_by is not None:
+            pairs.append((outcome.identifier, outcome.covered_by))
+    else:
+        pairs = list(outcome.reabsorbed.items())
+    for covered, coverer in pairs:
+        assert covers_matrix[members[coverer]][members[covered]], (
+            covered,
+            coverer,
+        )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_edge_corpus_keyed_lookup_matches_flat_scan_under_churn(seed):
+    """Keyed lookups skip only pairs the prefilters or the exact test
+    reject: under add and remove churn of a mixed-domain corpus (with
+    repeats, so equivalents meet), every outcome and the whole poset
+    equal those of a flat scan, and the pairwise ``covers()``
+    invariants hold after every mutation."""
+    corpus = _edge_corpus()
+    covers_matrix = [
+        [covers(coverer, covered) for covered in corpus] for coverer in corpus
+    ]
+    rng = random.Random(seed)
+    keyed, flat = CoveringIndex(), _FlatScan()
+    members: dict[int, int] = {}
+    for identifier in range(160):
+        if members and rng.random() < 0.4:
+            victim = rng.choice(sorted(members))
+            outcome = keyed.remove(victim)
+            assert flat.remove(victim) == outcome
+            del members[victim]
+            _assert_pairwise_invariants(keyed, members, outcome, covers_matrix)
+        else:
+            position = rng.randrange(len(corpus))
+            members[identifier] = position
+            outcome = keyed.add(identifier, corpus[position])
+            assert flat.add(identifier, corpus[position]) == outcome
+            _assert_pairwise_invariants(keyed, members, outcome, covers_matrix)
+        assert keyed.maximal_ids() == flat.maximal_ids()
+        assert keyed.covered_mapping() == flat.covered_mapping()
+    # the lookup only ever drops hull and exact tests; the saving
+    # itself is asserted on same-key corpora, where it applies
+    assert keyed.hull_tests <= flat.hull_tests
+    assert keyed.covers_calls <= flat.covers_calls
+
+
+#: sha256 of every routing table's covering poset, after every write of
+#: the churn below, with ids numbered in subscribe order.  Computed at
+#: the commit before the keyed bucket lookup: the lookup must find the
+#: same coverer that the flat bucket scan found.
+GOLDEN_CHURN_POSET = (
+    "2a98be7eaaaef8d80536098b702ba8457a99d82540a50d6c01367cbfdaa6ba32"
+)
+
+
+def test_poset_under_tree_churn_matches_golden_digest():
+    network = BrokerNetwork(covering_enabled=True)
+    topology = make_topology("tree", 8)
+    topology.build(network, engine="noncanonical")
+    scenario = NetworkChurnScenario(seed=4)
+    ordinal: dict[int, int] = {}
+    handles: dict[int, object] = {}
+    digest = hashlib.sha256()
+    writes = 0
+    for op in scenario.ops(1450, topology.brokers):
+        if op[0] == "publish":
+            continue
+        if op[0] == "subscribe":
+            _, broker, subscription = op
+            handle = network.subscribe(broker, subscription)
+            ordinal[handle.id] = len(ordinal)
+            handles[subscription.subscription_id] = handle
+        else:
+            network.unsubscribe(handles.pop(op[1]))
+        writes += 1
+        for broker in topology.brokers:
+            for direction, index in sorted(
+                network.routing_table(broker)._indexes.items()
+            ):
+                maximal = sorted(ordinal[i] for i in index.maximal_ids())
+                mapping = sorted(
+                    (ordinal[covered], ordinal[coverer])
+                    for covered, coverer in index.covered_mapping().items()
+                )
+                digest.update(repr((broker, direction, maximal, mapping)).encode())
+    assert writes == 592
+    assert digest.hexdigest() == GOLDEN_CHURN_POSET
 
 
 def _summarize_counter(monkeypatch) -> list:
