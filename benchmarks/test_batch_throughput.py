@@ -1,12 +1,14 @@
 """Batched matching throughput — the perf trajectory for future PRs.
 
 The batch pipeline exists to amortize per-event dispatch overhead:
-phase 1 memoizes repeated attribute values across a batch
-(``IndexManager.match_batch``) and phase 2 reuses candidate buffers
-(``match_fulfilled_batch``).  These benchmarks call the harness's
-throughput sweep (:func:`~repro.experiments.harness.run_throughput_sweep`)
-directly, so the numbers asserted here come from the same timing code as
-the paper's sweeps.
+phase 1 sweeps the whole batch into one bit matrix, sorting each
+attribute's values once (``IndexManager.match_batch_bits``), and the
+kernel engines evaluate phase 2 over that matrix once per batch
+(``match_fulfilled_matrix``) rather than once per event.  These
+benchmarks call the harness's throughput sweep
+(:func:`~repro.experiments.harness.run_throughput_sweep`) directly, so
+the numbers asserted here come from the same timing code as the paper's
+sweeps.
 
 The headline assertion: batch=256 must beat per-event publishing by
 :data:`BATCH256_MIN_SPEEDUP` on the non-canonical engine, over a
@@ -30,7 +32,8 @@ BATCH256_MIN_SPEEDUP = 1.1
 
 #: The sweep's population and stream: 300 paper subscriptions, 256
 #: events over a 16-value domain (heavy value repetition across a batch,
-#: the regime the phase-1 batch memoization targets), best of 3 repeats.
+#: so each attribute's sweep sorts few distinct values), best of 3
+#: repeats.
 SUBSCRIPTIONS = 300
 EVENTS = 256
 VALUE_RANGE = 16

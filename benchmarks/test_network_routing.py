@@ -9,18 +9,20 @@ Two structural claims, counter-asserted rather than timed:
   tests and the bound is linear with a small constant, versus ~N²/2 for
   an all-pairs scan, and the keyed bucket lookup keeps interval
   (hull) tests to a few per add and per remove under churn;
-* **the network sweep routes** — the covering overlays of
-  :func:`~repro.experiments.harness.run_network_sweep` carry a nonzero
-  suppression ratio on every topology, at least
-  :data:`NETWORK_TREE_MIN_SUPPRESSION` on the tree, and register
-  strictly less than flooding.
+* **the overlay routes** — 8-broker covering overlays loaded with the
+  churn scenario's subscriptions carry a nonzero suppression ratio on
+  every topology, at least :data:`NETWORK_TREE_MIN_SUPPRESSION` on the
+  tree, and register strictly less than flooding overlays.
 """
 
 from __future__ import annotations
 
-from repro.experiments.harness import run_network_sweep
-from repro.subscriptions import CoveringIndex, parse
-from repro.workloads import NetworkChurnScenario
+import random
+from typing import NamedTuple
+
+from repro.broker import BrokerNetwork
+from repro.subscriptions import CoveringIndex, parse, summarize
+from repro.workloads import NetworkChurnScenario, make_topology
 
 #: The quick-scale network workload is covering-rich by construction;
 #: the tree-topology run must suppress at least this fraction of remote
@@ -56,9 +58,11 @@ def test_covering_index_exact_tests_stay_subquadratic():
             high = low + 40 + band
             index.add(
                 identifier,
-                parse(
-                    f"key = 'k{key:03d}' and "
-                    f"value between [{low}, {high}]"
+                summarize(
+                    parse(
+                        f"key = 'k{key:03d}' and "
+                        f"value between [{low}, {high}]"
+                    )
                 ),
             )
             identifier += 1
@@ -83,7 +87,9 @@ def test_covering_index_beats_all_pairs_even_with_churn():
     add_hull_tests = remove_hull_tests = 0
     for step, subscription in enumerate(scenario.subscriptions(300)):
         before = index.hull_tests
-        index.add(subscription.subscription_id, subscription.expression)
+        index.add(
+            subscription.subscription_id, summarize(subscription.expression)
+        )
         add_hull_tests += index.hull_tests - before
         live.append(subscription.subscription_id)
         total_adds += 1
@@ -102,21 +108,40 @@ def test_covering_index_beats_all_pairs_even_with_churn():
     )
 
 
-def test_quick_network_records_report_suppression():
-    """The network sweep: nonzero suppression on every topology, enough
-    on the tree, and covering registers less than flooding."""
-    points = run_network_sweep(
-        topologies=("line", "star", "tree", "random"),
-        broker_count=8,
-        subscription_count=32,
-        event_count=128,
-        batch_size=64,
-        engine="noncanonical",
-        covering=(True, False),
-        repeats=1,
+class OverlayShape(NamedTuple):
+    """Table state of one loaded overlay."""
+
+    suppression_ratio: float
+    registrations_per_broker: float
+
+
+def _load_overlay(topology, covering: bool) -> OverlayShape:
+    """An 8-broker overlay loaded with the churn scenario's subscriptions."""
+    network = topology.build(
+        BrokerNetwork(covering_enabled=covering), engine="noncanonical"
     )
-    covering = {p.topology: p for p in points if p.covering}
-    flooding = {p.topology: p for p in points if not p.covering}
+    subscriptions = NetworkChurnScenario(seed=0).subscriptions(32)
+    placement = random.Random(97)
+    homes = [placement.choice(topology.brokers) for _ in subscriptions]
+    for home, subscription in zip(homes, subscriptions):
+        network.subscribe(home, subscription, subscriber=subscription.subscriber)
+    brokers = network.brokers()
+    registrations = sum(broker.subscription_count for broker in brokers)
+    for broker in brokers:
+        broker.engine.close()
+    return OverlayShape(
+        network.suppression_ratio(), registrations / len(brokers)
+    )
+
+
+def test_quick_network_records_report_suppression():
+    """Nonzero suppression on every topology, enough on the tree, and
+    covering registers less than flooding."""
+    covering, flooding = {}, {}
+    for name in ("line", "star", "tree", "random"):
+        topology = make_topology(name, 8, seed=0)
+        covering[name] = _load_overlay(topology, covering=True)
+        flooding[name] = _load_overlay(topology, covering=False)
     assert covering["tree"].suppression_ratio >= NETWORK_TREE_MIN_SUPPRESSION
     for topology, point in covering.items():
         assert point.suppression_ratio > 0.0

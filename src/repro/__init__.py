@@ -96,6 +96,7 @@ from .subscriptions import (
     SubscriptionSyntaxError,
     covers,
     parse,
+    summarize,
     to_dnf,
 )
 
@@ -160,5 +161,6 @@ __all__ = [
     "to_dnf",
     "covers",
     "CoveringIndex",
+    "summarize",
     "__version__",
 ]

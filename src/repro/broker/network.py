@@ -83,14 +83,15 @@ class BrokerNetwork:
     covering_enabled:
         Apply subscription covering (Mühl & Fiege [14], see
         :mod:`repro.subscriptions.covering_index`) during propagation —
-        **on by default**.  A remote broker's routing table skips
-        registering a new subscription when an already-registered one
-        with the **same next hop** covers it, and a late-arriving wide
-        subscription absorbs the narrower ones it covers.  The home
-        broker always registers its own subscriptions, so deliveries
-        are unaffected; when a coverer is withdrawn its covered
-        subscriptions are re-absorbed under surviving coverers and
-        reinstated only when none remains.
+        **on by default**, and fixed for the network's lifetime.  A
+        remote broker's routing table skips registering a new
+        subscription when an already-registered one with the **same
+        next hop** covers it, and a late-arriving wide subscription
+        absorbs the narrower ones it covers.  The home broker always
+        registers its own subscriptions, so deliveries are unaffected;
+        when a coverer is withdrawn its covered subscriptions are
+        re-absorbed under surviving coverers and reinstated only when
+        none remains.
     """
 
     def __init__(self, *, covering_enabled: bool = True) -> None:
@@ -105,19 +106,9 @@ class BrokerNetwork:
 
     @property
     def covering_enabled(self) -> bool:
-        """Whether new subscription arrivals may be suppressed.
-
-        Assignable at any time; the toggle propagates to every broker's
-        routing table and applies to *subsequent* arrivals (existing
-        suppressions stay honored until their entries are withdrawn).
-        """
+        """Whether subscription arrivals may be suppressed (fixed when
+        the network is built, shared by every broker's routing table)."""
         return self._covering_enabled
-
-    @covering_enabled.setter
-    def covering_enabled(self, enabled: bool) -> None:
-        self._covering_enabled = enabled
-        for table in self._routing.values():
-            table.covering_enabled = enabled
 
     # ------------------------------------------------------------------
     # topology
@@ -148,7 +139,7 @@ class BrokerNetwork:
         self._brokers[broker.name] = broker
         self._neighbors[broker.name] = set()
         self._routing[broker.name] = RoutingTable(
-            broker, covering_enabled=self.covering_enabled
+            broker, covering_enabled=self._covering_enabled
         )
         return broker
 
@@ -235,8 +226,8 @@ class BrokerNetwork:
         the local engine registers it or a coverer suppresses it).
 
         With covering on, the subscription's summary is derived here,
-        once, and handed to every table: the tables' covering indexes
-        would otherwise each derive the same DNF."""
+        once, and handed to every table's covering index; with it off,
+        no table reads a summary."""
         summary = (
             summarize(subscription.expression)
             if self._covering_enabled

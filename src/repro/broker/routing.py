@@ -80,14 +80,15 @@ class RoutingTable:
         ``broker.unsubscribe`` so engine state always mirrors the table.
     covering_enabled:
         When ``False`` the table degenerates to pure next-hop flooding
-        (every remote subscription registered, no indexes).
+        (every remote subscription registered, no indexes).  Fixed for
+        the table's lifetime.
     """
 
     def __init__(
         self, broker: Broker, *, covering_enabled: bool = True
     ) -> None:
         self.broker = broker
-        self.covering_enabled = covering_enabled
+        self._covering_enabled = covering_enabled
         #: subscription id -> neighbor toward home (None = home here)
         self._hops: dict[int, str | None] = {}
         #: subscription id -> the routed subscription (for reinstatement)
@@ -103,6 +104,11 @@ class RoutingTable:
 
     def __contains__(self, subscription_id: int) -> bool:
         return subscription_id in self._hops
+
+    @property
+    def covering_enabled(self) -> bool:
+        """Whether remote arrivals may be suppressed (read-only)."""
+        return self._covering_enabled
 
     @property
     def hops(self) -> dict[int, str | None]:
@@ -182,19 +188,19 @@ class RoutingTable:
         the same-direction subscriptions it covers.  ``summary`` is the
         subscription's :func:`~repro.subscriptions.summary.summarize`
         summary, derived once by the network for every table the
-        subscription enters (``None``, as the network passes with
-        covering off, makes the index derive its own).
+        subscription enters; it is ``None`` exactly when covering is
+        off, and then goes unread.
         """
         sid = subscription.subscription_id
         self._hops[sid] = direction
         self._subscriptions[sid] = subscription
-        if not self.covering_enabled:
+        if not self._covering_enabled:
             self._register(sid)
             return RouteChange(sid)
         index = self._indexes.get(direction)
         if index is None:
             index = self._indexes[direction] = CoveringIndex()
-        outcome = index.add(sid, summary or subscription.expression)
+        outcome = index.add(sid, summary)
         if outcome.covered_by is not None:
             return RouteChange(sid, suppressed_by=outcome.covered_by)
         self._register(sid)
@@ -213,18 +219,13 @@ class RoutingTable:
         """
         direction = self._hops.pop(subscription_id)
         self._subscriptions.pop(subscription_id)
-        # membership in a direction index — not the current flag — decides
-        # the withdrawal path, so toggling covering_enabled mid-life
-        # leaves previously-indexed subscriptions consistent
-        index = (
-            self._indexes.get(direction) if direction is not None else None
-        )
-        if index is None or subscription_id not in index:
+        if direction is None or not self._covering_enabled:
             # home registrations keep their live handle; the broker
             # unsubscribe also invalidates it
             self.broker.unsubscribe(subscription_id)
             return RouteChange(subscription_id)
-        outcome = index.remove(subscription_id)
+        # with covering on, every remote entry sits in its direction's index
+        outcome = self._indexes[direction].remove(subscription_id)
         if outcome.was_covered:
             return RouteChange(subscription_id, suppressed_by=outcome.coverer)
         self.broker.unsubscribe(subscription_id)

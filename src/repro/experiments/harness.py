@@ -21,7 +21,6 @@ slope) back the claims benchmarks C2-C4.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -622,230 +621,6 @@ def run_shard_sweep(
             baseline_engine.close()
         results[spec.name] = curve
     return results
-
-
-# ----------------------------------------------------------------------
-# network routing (throughput and suppression across topologies)
-# ----------------------------------------------------------------------
-#: Topologies the network sweep measures by default.
-DEFAULT_TOPOLOGIES: tuple[str, ...] = ("line", "star", "tree", "random")
-
-
-@dataclass(frozen=True)
-class NetworkSweepPoint:
-    """One overlay measurement: a topology × covering configuration.
-
-    Throughput covers the full overlay pipeline — per-broker matching,
-    reverse-path forwarding, and home-broker delivery — for a batch
-    stream injected round-robin at every broker.  Registration and
-    suppression figures describe the table state after the subscription
-    population is in place.
-    """
-
-    topology: str
-    brokers: int
-    covering: bool
-    engine: str
-    subscriptions: int
-    events: int                   # events published per repeat
-    seconds: float                # best-of-repeats wall time for them
-    events_per_second: float
-    deliveries: int               # notifications per pass
-    broker_hops: int              # grouped transmissions per pass
-    registrations_total: int      # engine registrations across brokers
-    registrations_per_broker: float
-    suppressed_registrations: int  # cumulative suppression events
-    #: live-table compaction: suppressed entries / remote entries
-    #: (BrokerNetwork.suppression_ratio(), always in [0, 1])
-    suppression_ratio: float
-    routing_bytes: int            # routing-table cost-model bytes
-    memory_bytes: int             # engines + routing tables
-
-
-def run_network_sweep(
-    *,
-    topologies: Sequence[str] = DEFAULT_TOPOLOGIES,
-    broker_count: int = 8,
-    subscription_count: int = 64,
-    event_count: int = 256,
-    batch_size: int = 64,
-    engine: str = "noncanonical",
-    covering: Sequence[bool] = (True, False),
-    seed: int = 0,
-    repeats: int = 3,
-    verify_parity: bool = True,
-) -> list[NetworkSweepPoint]:
-    """Overlay routing sweep: topology × covering on/off.
-
-    For each topology a fresh :class:`~repro.broker.network.BrokerNetwork`
-    per covering mode is loaded with the same
-    :class:`~repro.workloads.scenarios.NetworkChurnScenario` subscription
-    population (homes chosen deterministically), then the same event
-    batches are published round-robin across the brokers and timed
-    best-of-``repeats``.
-
-    With ``verify_parity`` the covering overlay's delivery trace for the
-    first batch is checked against a flooding overlay before anything is
-    timed — covering is a table compaction, never a delivery change.
-    """
-    from ..broker.network import BrokerNetwork
-    from ..workloads.scenarios import NetworkChurnScenario, make_topology
-
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
-    modes = list(dict.fromkeys(covering))
-    points: list[NetworkSweepPoint] = []
-    for topology_name in topologies:
-        topology = make_topology(topology_name, broker_count, seed=seed)
-        scenario = NetworkChurnScenario(seed=seed)
-        subscriptions = scenario.subscriptions(subscription_count)
-        events = [scenario.event() for _ in range(event_count)]
-        placement_rng = random.Random(seed + 97)
-        homes = [
-            placement_rng.choice(topology.brokers) for _ in subscriptions
-        ]
-        publish_at = [
-            topology.brokers[index % len(topology.brokers)]
-            for index in range(0, event_count, batch_size)
-        ]
-        chunks = [
-            events[start:start + batch_size]
-            for start in range(0, event_count, batch_size)
-        ]
-
-        def build(covering_enabled: bool) -> BrokerNetwork:
-            network = topology.build(
-                BrokerNetwork(covering_enabled=covering_enabled),
-                engine=engine,
-            )
-            for home, subscription in zip(homes, subscriptions):
-                network.subscribe(
-                    home, subscription, subscriber=subscription.subscriber
-                )
-            return network
-
-        # the sweep builds every broker engine itself, so it owns their
-        # lifecycle (the paged engine holds a temp file) — including the
-        # throwaway flooding reference when only covering modes were
-        # requested with verify_parity
-        networks: dict[bool, BrokerNetwork] = {}
-        owned: list[BrokerNetwork] = []
-        try:
-            for mode in modes:
-                networks[mode] = build(mode)
-                owned.append(networks[mode])
-            if verify_parity:
-                reference = networks.get(False)
-                if reference is None:
-                    reference = build(False)
-                    owned.append(reference)
-                for mode, network in networks.items():
-                    if network is reference:
-                        continue
-                    got = _delivery_trace(
-                        network.publish(publish_at[0], chunks[0])
-                    )
-                    expected = _delivery_trace(
-                        reference.publish(publish_at[0], chunks[0])
-                    )
-                    if got != expected:
-                        raise AssertionError(
-                            f"covering={mode} delivery trace diverges from "
-                            f"flooding on the {topology_name} topology"
-                        )
-            points.extend(
-                _measure_network(
-                    networks,
-                    topology_name=topology_name,
-                    broker_count=broker_count,
-                    engine=engine,
-                    subscription_count=subscription_count,
-                    event_count=event_count,
-                    publish_at=publish_at,
-                    chunks=chunks,
-                    repeats=repeats,
-                    brokers=topology.brokers,
-                )
-            )
-        finally:
-            for network in owned:
-                for broker in network.brokers():
-                    broker.engine.close()
-    return points
-
-
-def _measure_network(
-    networks,
-    *,
-    topology_name,
-    broker_count,
-    engine,
-    subscription_count,
-    event_count,
-    publish_at,
-    chunks,
-    repeats,
-    brokers,
-) -> "list[NetworkSweepPoint]":
-    points: list[NetworkSweepPoint] = []
-    for mode, network in networks.items():
-        registrations = sum(
-            broker.subscription_count for broker in network.brokers()
-        )
-        suppressed = network.stats.suppressed_registrations
-        ratio = network.suppression_ratio()
-        routing_bytes = sum(
-            network.routing_table(name).memory_bytes() for name in brokers
-        )
-        memory = routing_bytes + sum(
-            broker.engine.memory_bytes() for broker in network.brokers()
-        )
-        best = float("inf")
-        deliveries = 0
-        for _ in range(max(repeats, 1)):
-            delivered = 0
-            hops_before = network.stats.broker_hops
-            start = time.perf_counter()
-            for origin, chunk in zip(publish_at, chunks):
-                for notifications in network.publish(origin, chunk):
-                    delivered += len(notifications)
-            elapsed = time.perf_counter() - start
-            best = min(best, elapsed)
-            deliveries = delivered
-        points.append(
-            NetworkSweepPoint(
-                topology=topology_name,
-                brokers=broker_count,
-                covering=mode,
-                engine=engine,
-                subscriptions=subscription_count,
-                events=event_count,
-                seconds=best,
-                events_per_second=(
-                    event_count / best if best > 0 else float("inf")
-                ),
-                deliveries=deliveries,
-                broker_hops=network.stats.broker_hops - hops_before,
-                registrations_total=registrations,
-                registrations_per_broker=registrations / broker_count,
-                suppressed_registrations=suppressed,
-                suppression_ratio=ratio,
-                routing_bytes=routing_bytes,
-                memory_bytes=memory,
-            )
-        )
-    return points
-
-
-def _delivery_trace(batched_notifications) -> list[frozenset]:
-    """Per-event delivery identity sets, order-insensitive within events."""
-    return [
-        frozenset(
-            (n.subscriber, n.subscription_id, n.broker)
-            for n in notifications
-        )
-        for notifications in batched_notifications
-    ]
 
 
 # ----------------------------------------------------------------------

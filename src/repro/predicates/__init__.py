@@ -1,13 +1,11 @@
 """Predicate language: attribute-operator-value triples and their registry."""
 
-from .operators import IndexFamily, Operator, OperatorArity
+from .operators import Operator
 from .predicate import InvalidPredicateError, Predicate
 from .registry import PredicateRegistry, UnknownPredicateError
 
 __all__ = [
-    "IndexFamily",
     "Operator",
-    "OperatorArity",
     "InvalidPredicateError",
     "Predicate",
     "PredicateRegistry",

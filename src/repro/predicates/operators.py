@@ -4,40 +4,15 @@ The paper defines predicates as attribute-operator-value triples.  This
 module enumerates the supported operators and implements their evaluation
 semantics against event attribute values.
 
-Operators fall into families that determine which one-dimensional index
-structure serves them in predicate matching (paper §3.2):
-
-* **point** operators (``EQ``, ``NE``, ``IN``, ``BOOL``-style equality) are
-  served by hash indexes;
-* **range** operators (``LT``, ``LE``, ``GT``, ``GE``, ``BETWEEN``) are
-  served by the paper's B+ trees (held as sorted threshold arrays, see
-  :mod:`repro.indexes.thresholds`) / interval indexes;
-* **string** operators (``PREFIX``, ``SUFFIX``, ``CONTAINS``) are served
-  by tries (prefix/suffix) or scan lists (contains).
+Which one-dimensional index structure serves each operator in predicate
+matching (paper §3.2) is decided in one place,
+:data:`repro.indexes.manager.OPERATOR_SLOTS`.
 """
 
 from __future__ import annotations
 
 import enum
 from typing import Any
-
-
-class OperatorArity(enum.Enum):
-    """How many value operands an operator takes."""
-
-    UNARY = 1      # EXISTS
-    BINARY = 2     # attribute ? value
-    TERNARY = 3    # BETWEEN takes (low, high)
-
-
-class IndexFamily(enum.Enum):
-    """Which index structure serves an operator during predicate matching."""
-
-    HASH = "hash"
-    BTREE = "btree"
-    INTERVAL = "interval"
-    TRIE = "trie"
-    SCAN = "scan"
 
 
 class Operator(enum.Enum):
@@ -55,20 +30,6 @@ class Operator(enum.Enum):
     SUFFIX = "suffix"     # string ends-with
     CONTAINS = "contains" # string substring
     EXISTS = "exists"     # attribute is present, value ignored
-
-    @property
-    def index_family(self) -> IndexFamily:
-        """The index structure that serves this operator (paper §3.2)."""
-        return _INDEX_FAMILY[self]
-
-    @property
-    def arity(self) -> OperatorArity:
-        """Number of value operands the operator expects."""
-        if self is Operator.EXISTS:
-            return OperatorArity.UNARY
-        if self is Operator.BETWEEN:
-            return OperatorArity.TERNARY
-        return OperatorArity.BINARY
 
     @property
     def is_numeric_range(self) -> bool:
@@ -203,19 +164,4 @@ _EVALUATORS = {
     Operator.SUFFIX: _eval_suffix,
     Operator.CONTAINS: _eval_contains,
     Operator.EXISTS: _eval_exists,
-}
-
-_INDEX_FAMILY = {
-    Operator.EQ: IndexFamily.HASH,
-    Operator.NE: IndexFamily.HASH,
-    Operator.IN: IndexFamily.HASH,
-    Operator.EXISTS: IndexFamily.HASH,
-    Operator.LT: IndexFamily.BTREE,
-    Operator.LE: IndexFamily.BTREE,
-    Operator.GT: IndexFamily.BTREE,
-    Operator.GE: IndexFamily.BTREE,
-    Operator.BETWEEN: IndexFamily.INTERVAL,
-    Operator.PREFIX: IndexFamily.TRIE,
-    Operator.SUFFIX: IndexFamily.TRIE,
-    Operator.CONTAINS: IndexFamily.SCAN,
 }

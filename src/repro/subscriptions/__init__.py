@@ -49,6 +49,7 @@ from .normal_forms import (
 )
 from .parser import SubscriptionSyntaxError, parse
 from .subscription import Subscription, next_subscription_id
+from .summary import summarize
 from .tree import NodeKind, SubscriptionTree, TreeNode
 
 __all__ = [
@@ -91,6 +92,7 @@ __all__ = [
     "parse",
     "Subscription",
     "next_subscription_id",
+    "summarize",
     "NodeKind",
     "SubscriptionTree",
     "TreeNode",

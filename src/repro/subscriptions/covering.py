@@ -36,13 +36,25 @@ from .normal_forms import (
 )
 
 
+def _is_nan(value) -> bool:
+    """NaN is the one value unequal to itself."""
+    return value != value
+
+
 def _bounds(predicate: Predicate):
     """Normalize a numeric predicate to an interval (low, high, incl, inch).
 
-    Returns ``None`` for non-interval predicates.  Open endpoints are
-    ``None``.
+    Returns ``None`` for non-interval predicates, and for a NaN bound:
+    NaN compares false both ways, so a NaN interval would seem to
+    contain any bounded one.  Open endpoints are ``None``.
     """
     op, value = predicate.operator, predicate.value
+    if op is Operator.BETWEEN:
+        if _is_nan(value[0]) or _is_nan(value[1]):
+            return None
+        return (value[0], value[1], True, True)
+    if _is_nan(value):
+        return None
     if op is Operator.LT:
         return (None, value, False, False)
     if op is Operator.LE:
@@ -53,9 +65,6 @@ def _bounds(predicate: Predicate):
         return (value, None, True, False)
     if op is Operator.EQ and not isinstance(value, bool):
         return (value, value, True, True)
-    if op is Operator.BETWEEN:
-        low, high = value
-        return (low, high, True, True)
     return None
 
 

@@ -13,9 +13,9 @@ What makes it cheap:
 * **one DNF per member** — each member's DNF is derived once, inside
   its :func:`~repro.subscriptions.summary.summarize` summary, and kept
   in the per-id summary until the member is removed, so no exact test
-  ever re-derives a normal form.  ``add`` accepts that summary from a
-  caller that already derived it: a broker network summarizes a
-  subscribe once and hands the summary to every routing table;
+  ever re-derives a normal form.  ``add`` takes that summary from the
+  caller: a broker network summarizes a subscribe once and hands the
+  summary to every routing table;
 * **attribute-signature prefilter** — maximal ids are bucketed by their
   *required attribute set* (attributes appearing in every DNF clause).
   A coverer's required set is necessarily a subset of the covered
@@ -56,18 +56,15 @@ from __future__ import annotations
 import bisect
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
-from .ast import BooleanExpression
 from .covering import _interval_contains, dnf_covers
-from .summary import ExpressionSummary as _Summary, Interval, summarize
+from .summary import ExpressionSummary as _Summary
 
 __all__ = [
     "AddOutcome",
     "CoveringIndex",
-    "Interval",
     "RemoveOutcome",
-    "summarize",
 ]
 
 
@@ -95,8 +92,7 @@ _KEYED_TYPES = frozenset((int, float, str, bool))
 
 def _point(hull):
     """``v`` when ``hull`` is the closed one-point interval ``[v, v]``
-    of a keyed type, else ``None`` (also for NaN, which equals
-    nothing)."""
+    of a keyed type, else ``None``."""
     if (
         isinstance(hull, tuple)
         and type(hull[0]) in _KEYED_TYPES
@@ -114,8 +110,8 @@ class _Bucket:
 
     ``points[v]`` holds the ids whose coverer hull *and* covered hull on
     the key are both the closed point ``[v, v]``; ``rest`` holds every
-    other id (wider or missing hulls, ``"empty"`` clause hulls, NaN, an
-    empty signature).  Every list stays sorted, so merged scans visit
+    other id (wider or missing hulls, ``"empty"`` clause hulls, an empty
+    signature).  Every list stays sorted, so merged scans visit
     candidates in ascending id order.
     """
 
@@ -278,10 +274,6 @@ class CoveringIndex:
         """Whether ``identifier`` is currently covered."""
         return identifier in self._covered_by
 
-    def ids(self) -> Iterator[int]:
-        """Every live id."""
-        return iter(self._summaries)
-
     # ------------------------------------------------------------------
     # the exact test (counted)
     # ------------------------------------------------------------------
@@ -294,24 +286,17 @@ class CoveringIndex:
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
-    def add(
-        self, identifier: int, expression: BooleanExpression | _Summary
-    ) -> AddOutcome:
-        """Insert one member and restitch the poset around it.
+    def add(self, identifier: int, summary: _Summary) -> AddOutcome:
+        """Insert one member, given its
+        :func:`~repro.subscriptions.summary.summarize` summary, and
+        restitch the poset around it.
 
-        ``expression`` is the member's expression, or its summary when
-        the caller already derived one.  Never rescans the full set:
-        candidate coverers come from the signature buckets, and only
-        *maximal* ids are tested in either direction (covered ids
-        already ride their coverer).
+        Never rescans the full set: candidate coverers come from the
+        signature buckets, and only *maximal* ids are tested in either
+        direction (covered ids already ride their coverer).
         """
         if identifier in self._summaries:
             raise ValueError(f"id {identifier} already present")
-        summary = (
-            expression
-            if isinstance(expression, _Summary)
-            else summarize(expression)
-        )
         self._summaries[identifier] = summary
         coverer = self._find_coverer(summary)
         if coverer is not None:

@@ -48,7 +48,7 @@ from typing import Mapping
 
 from ..predicates.operators import Operator
 from .ast import BooleanExpression
-from .covering import _bounds
+from .covering import _bounds, _is_nan
 from .normal_forms import DisjunctiveNormalForm, DnfExplosionError, to_dnf
 
 #: Clause cap of the DNF derivation behind a summary; an expression
@@ -138,7 +138,8 @@ def _pseudo_bounds(predicate) -> Interval | None:
     alternatives) and boolean ``EQ`` (booleans order as 0/1).  Every
     interval produced is a *necessary* condition on the event value, so
     it is usable on the covered side of the covering prefilter and in
-    the admission intersections below.
+    the admission intersections below.  An ``IN`` with a NaN alternative
+    gets none: ``min``/``max`` over a NaN depend on set order.
     """
     bounds = _bounds(predicate)
     if bounds is not None:
@@ -147,6 +148,8 @@ def _pseudo_bounds(predicate) -> Interval | None:
     value = predicate.value
     if operator is Operator.IN:
         values = list(value)
+        if any(_is_nan(alternative) for alternative in values):
+            return None
         try:
             low, high = min(values), max(values)
         except TypeError:

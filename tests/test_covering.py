@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.predicates import Operator, Predicate
-from repro.subscriptions import CoveringIndex, parse
+from repro.subscriptions import And, CoveringIndex, leaf, parse, summarize
 from repro.subscriptions.covering import (
     clause_covers,
     covers,
@@ -164,6 +165,33 @@ class TestClauseAndExpressionCovers:
                 assert coverer.matches(event), (clause_index, dict(event))
 
 
+class TestNaNBounds:
+    """NaN compares false both ways, so a NaN bound must never count as
+    an interval: it would seem to contain every bounded one."""
+
+    @pytest.mark.parametrize(
+        "coverer",
+        [
+            P("x", Operator.EQ, float("nan")),
+            P("x", Operator.BETWEEN, (float("nan"), 5)),
+        ],
+    )
+    def test_nan_bound_covers_no_value(self, coverer):
+        assert covers(leaf(coverer), parse("x = 3")) is False
+
+    def test_summary_does_not_depend_on_literal_order(self):
+        point = parse("x = 3")
+        # the DNF compares by identity: compare every other field, which
+        # must read as ``x = 3`` alone (a NaN literal bounds nothing)
+        expected = replace(summarize(point), dnf=None)
+        # NaN objects hash apart, so the clause's literal order (a set's
+        # iteration order) varies across them
+        for _ in range(8):
+            nan = leaf(P("x", Operator.EQ, float("nan")))
+            for expression in (And([point, nan]), And([nan, point])):
+                assert replace(summarize(expression), dnf=None) == expected
+
+
 def satisfying_events(expression, *, seed: int, per_clause: int = 3):
     """Candidate witnesses for an expression, one batch per DNF clause.
 
@@ -241,7 +269,7 @@ def prune_covered(expressions):
     """(maximal ids, covered id -> coverer) of a set, inserted in id order."""
     index = CoveringIndex()
     for identifier in sorted(expressions):
-        index.add(identifier, expressions[identifier])
+        index.add(identifier, summarize(expressions[identifier]))
     return index.maximal_ids(), index.covered_mapping()
 
 

@@ -20,6 +20,7 @@ from repro.subscriptions import (
     covers,
     leaf,
     parse,
+    summarize,
 )
 from repro.subscriptions import summary as summary_module
 from repro.subscriptions.covering_index import _hull_fits
@@ -36,15 +37,15 @@ DERIVING_MODULES = tuple(
 class TestAddOutcomes:
     def test_first_member_is_maximal(self):
         index = CoveringIndex()
-        outcome = index.add(1, parse("a > 0"))
+        outcome = index.add(1, summarize(parse("a > 0")))
         assert outcome.covered_by is None
         assert outcome.newly_covered == ()
         assert index.maximal_ids() == {1}
 
     def test_narrow_after_wide_arrives_covered(self):
         index = CoveringIndex()
-        index.add(1, parse("a > 0"))
-        outcome = index.add(2, parse("a > 5"))
+        index.add(1, summarize(parse("a > 0")))
+        outcome = index.add(2, summarize(parse("a > 5")))
         assert outcome.covered_by == 1
         assert index.is_covered(2)
         assert index.coverer_of(2) == 1
@@ -52,9 +53,9 @@ class TestAddOutcomes:
 
     def test_wide_after_narrow_absorbs(self):
         index = CoveringIndex()
-        index.add(1, parse("a > 5 and b = 1"))
-        index.add(2, parse("a > 5 and c = 2"))   # sibling maximal of 1
-        outcome = index.add(3, parse("a > 0"))
+        index.add(1, summarize(parse("a > 5 and b = 1")))
+        index.add(2, summarize(parse("a > 5 and c = 2")))   # sibling maximal of 1
+        outcome = index.add(3, summarize(parse("a > 0")))
         assert outcome.covered_by is None
         assert set(outcome.newly_covered) == {1, 2}
         assert index.maximal_ids() == {3}
@@ -62,35 +63,35 @@ class TestAddOutcomes:
 
     def test_absorption_reroots_subtrees(self):
         index = CoveringIndex()
-        index.add(1, parse("a > 5"))
-        index.add(2, parse("a > 7"))       # covered by 1
-        outcome = index.add(3, parse("a > 0"))
+        index.add(1, summarize(parse("a > 5")))
+        index.add(2, summarize(parse("a > 7")))       # covered by 1
+        outcome = index.add(3, summarize(parse("a > 0")))
         # 1 is absorbed directly; its child 2 re-roots to 3 as well
         assert outcome.newly_covered == (1,)
         assert index.covered_mapping() == {1: 3, 2: 3}
 
     def test_covered_member_does_not_absorb(self):
         index = CoveringIndex()
-        index.add(1, parse("a > 0"))
-        index.add(2, parse("b = 1"))
+        index.add(1, summarize(parse("a > 0")))
+        index.add(2, summarize(parse("b = 1")))
         # arrives covered by 1; must not steal 2 even if it covered it
-        outcome = index.add(3, parse("a > 5"))
+        outcome = index.add(3, summarize(parse("a > 5")))
         assert outcome.covered_by == 1
         assert outcome.newly_covered == ()
         assert index.maximal_ids() == {1, 2}
 
     def test_duplicate_id_rejected(self):
         index = CoveringIndex()
-        index.add(1, parse("a > 0"))
+        index.add(1, summarize(parse("a > 0")))
         with pytest.raises(ValueError, match="already present"):
-            index.add(1, parse("a > 1"))
+            index.add(1, summarize(parse("a > 1")))
 
 
 class TestRemoveOutcomes:
     def test_removing_covered_member_exposes_nothing(self):
         index = CoveringIndex()
-        index.add(1, parse("a > 0"))
-        index.add(2, parse("a > 5"))
+        index.add(1, summarize(parse("a > 0")))
+        index.add(2, summarize(parse("a > 5")))
         outcome = index.remove(2)
         assert outcome.was_covered and outcome.coverer == 1
         assert outcome.newly_exposed == ()
@@ -98,9 +99,9 @@ class TestRemoveOutcomes:
 
     def test_removing_coverer_exposes_orphans(self):
         index = CoveringIndex()
-        index.add(1, parse("a > 0"))
-        index.add(2, parse("a > 5"))
-        index.add(3, parse("a > 5 and b = 1"))
+        index.add(1, summarize(parse("a > 0")))
+        index.add(2, summarize(parse("a > 5")))
+        index.add(3, summarize(parse("a > 5 and b = 1")))
         outcome = index.remove(1)
         assert not outcome.was_covered
         # 2 has no surviving coverer; 3 re-absorbs under the freshly
@@ -112,9 +113,9 @@ class TestRemoveOutcomes:
 
     def test_orphan_reabsorbed_under_freshly_exposed_sibling(self):
         index = CoveringIndex()
-        index.add(1, parse("a > 0"))      # absorbed by 2 on its arrival
-        index.add(2, parse("a >= 0"))
-        index.add(3, parse("a > 5"))      # covered by 2
+        index.add(1, summarize(parse("a > 0")))      # absorbed by 2 on its arrival
+        index.add(2, summarize(parse("a >= 0")))
+        index.add(3, summarize(parse("a > 5")))      # covered by 2
         assert index.covered_mapping() == {1: 2, 3: 2}
         outcome = index.remove(2)
         # orphan 1 promotes to maximal, orphan 3 re-absorbs under it —
@@ -129,9 +130,9 @@ class TestRemoveOutcomes:
         add(), so a wide orphan re-covers a narrow sibling promoted
         earlier in the same removal instead of both going maximal."""
         index = CoveringIndex()
-        index.add(1, parse("x >= 0"))
-        index.add(2, parse("x > 5"))      # covered by 1
-        index.add(3, parse("x > 0"))      # covered by 1, covers 2
+        index.add(1, summarize(parse("x >= 0")))
+        index.add(2, summarize(parse("x > 5")))      # covered by 1
+        index.add(3, summarize(parse("x > 0")))      # covered by 1, covers 2
         outcome = index.remove(1)
         assert outcome.newly_exposed == (3,)
         assert outcome.reabsorbed == {2: 3}
@@ -141,9 +142,9 @@ class TestRemoveOutcomes:
 
     def test_later_orphan_reabsorbs_under_earlier_promoted_one(self):
         index = CoveringIndex()
-        index.add(1, parse("x >= 0"))
-        index.add(2, parse("x > 0"))              # covered by 1
-        index.add(4, parse("x > 4 and y = 1"))    # covered by 1
+        index.add(1, summarize(parse("x >= 0")))
+        index.add(2, summarize(parse("x > 0")))              # covered by 1
+        index.add(4, summarize(parse("x > 4 and y = 1")))    # covered by 1
         outcome = index.remove(1)
         # 2 promotes first (smaller id); 4 then finds it as a coverer
         assert outcome.newly_exposed == (2,)
@@ -162,8 +163,8 @@ class TestExplodingExpressions:
             " and ".join(f"(a{i} = 1 or b{i} = 2)" for i in range(13))
         )
         index = CoveringIndex()
-        index.add(1, big)
-        index.add(2, big)
+        index.add(1, summarize(big))
+        index.add(2, summarize(big))
         # neither can cover the other (conservative False on explosion)
         assert index.maximal_ids() == {1, 2}
         assert index.covers_calls == 0
@@ -190,7 +191,7 @@ class TestPosetInvariantsUnderChurn:
                 subscription = scenario.subscription(f"user{step}")
                 sid = subscription.subscription_id
                 expressions[sid] = subscription.expression
-                index.add(sid, subscription.expression)
+                index.add(sid, summarize(subscription.expression))
                 live.append(sid)
             maximal = index.maximal_ids()
             covered = index.covered_mapping()
@@ -217,7 +218,10 @@ class TestPosetInvariantsUnderChurn:
         expressions = {}
         for subscription in scenario.subscriptions(60):
             expressions[subscription.subscription_id] = subscription.expression
-            index.add(subscription.subscription_id, subscription.expression)
+            index.add(
+                subscription.subscription_id,
+                summarize(subscription.expression),
+            )
         maximal = sorted(index.maximal_ids())
         for first in maximal:
             for second in maximal:
@@ -232,7 +236,10 @@ class TestPosetInvariantsUnderChurn:
         expressions = {}
         for subscription in scenario.subscriptions(60):
             expressions[subscription.subscription_id] = subscription.expression
-            index.add(subscription.subscription_id, subscription.expression)
+            index.add(
+                subscription.subscription_id,
+                summarize(subscription.expression),
+            )
         for covered, coverer in index.covered_mapping().items():
             # re-rooted chains rest on semantic transitivity; verify on
             # sampled events rather than the (incomplete) layered test
@@ -246,15 +253,15 @@ class TestPrefilters:
     def test_prefilters_prune_band_corpus(self):
         index = CoveringIndex()
         for i in range(40):
-            index.add(i, parse(f"price between [{i * 10}, {i * 10 + 4}]"))
+            index.add(i, summarize(parse(f"price between [{i * 10}, {i * 10 + 4}]")))
         # disjoint bands: the interval prefilter resolves every pair
         assert index.covers_calls == 0
         assert index.interval_pruned > 0
 
     def test_signature_prefilter_prunes_disjoint_attributes(self):
         index = CoveringIndex()
-        index.add(1, parse("a > 0 and b > 0"))
-        index.add(2, parse("c > 0"))
+        index.add(1, summarize(parse("a > 0 and b > 0")))
+        index.add(2, summarize(parse("c > 0")))
         assert index.maximal_ids() == {1, 2}
         assert index.covers_calls == 0
         assert index.signature_pruned > 0
@@ -262,9 +269,9 @@ class TestPrefilters:
     def test_keyed_lookup_tests_only_same_key_members(self):
         index = CoveringIndex()
         for i in range(10):
-            index.add(i, parse(f"key = 'k{i}' and v > {i}"))
+            index.add(i, summarize(parse(f"key = 'k{i}' and v > {i}")))
         hull_tests, pruned = index.hull_tests, index.interval_pruned
-        outcome = index.add(10, parse("key = 'k3' and v > 5"))
+        outcome = index.add(10, summarize(parse("key = 'k3' and v > 5")))
         assert outcome.covered_by == 3
         # one hull test; the nine other keys are skipped unseen
         assert index.hull_tests - hull_tests == 1
@@ -272,28 +279,28 @@ class TestPrefilters:
 
     def test_keyed_lookup_still_tests_wider_members(self):
         index = CoveringIndex()
-        index.add(1, parse("(x = 3 and y = 2) or (x = 4 and y = 1)"))
-        index.add(2, parse("x = 3 and y = 5"))     # keyed under x = 3
+        index.add(1, summarize(parse("(x = 3 and y = 2) or (x = 4 and y = 1)")))
+        index.add(2, summarize(parse("x = 3 and y = 5")))     # keyed under x = 3
         # a point on the key is tested against wider members as well
-        assert index.add(3, parse("x = 3 and y = 2")).covered_by == 1
+        assert index.add(3, summarize(parse("x = 3 and y = 2"))).covered_by == 1
 
     @pytest.mark.parametrize("wide_first", [True, False])
     def test_keyed_lookup_keeps_ascending_id_order(self, wide_first):
         wide = parse("(x = 3 and y = 2) or (x = 4 and y = 1)")
         keyed = parse("(x = 3 and y = 2) or (x = 3 and y = 7)")
         index = CoveringIndex()
-        index.add(1, wide if wide_first else keyed)
-        index.add(2, keyed if wide_first else wide)
+        index.add(1, summarize(wide if wide_first else keyed))
+        index.add(2, summarize(keyed if wide_first else wide))
         # both maximal members cover it: the smaller id wins, whichever
         # of them sits in ``rest`` and whichever under x = 3
-        assert index.add(3, parse("x = 3 and y = 2")).covered_by == 1
+        assert index.add(3, summarize(parse("x = 3 and y = 2"))).covered_by == 1
 
     def test_point_coverer_hull_with_empty_clause_hull_is_not_keyed(self):
         index = CoveringIndex()
-        index.add(1, parse("x = 3 and x in {5}"))  # coverer hull [3, 3]
+        index.add(1, summarize(parse("x = 3 and x in {5}")))  # coverer hull [3, 3]
         # unsatisfiable, so its clause hull is "empty": x = 5 must still
         # test it (and the exact test accepts through x in {5})
-        assert index.add(2, parse("x = 5")).newly_covered == (1,)
+        assert index.add(2, summarize(parse("x = 5"))).newly_covered == (1,)
 
     def test_prefiltered_poset_matches_pairwise_oracle(self):
         # the prefilters are necessary conditions: the maximal set must
@@ -305,7 +312,7 @@ class TestPrefilters:
         }
         index = CoveringIndex()
         for identifier in sorted(expressions):
-            index.add(identifier, expressions[identifier])
+            index.add(identifier, summarize(expressions[identifier]))
         maximal = index.maximal_ids()
         covered_by = index.covered_mapping()
         # oracle: a member is coverable iff some *other* member covers it
@@ -465,8 +472,9 @@ def test_edge_corpus_keyed_lookup_matches_flat_scan_under_churn(seed):
         else:
             position = rng.randrange(len(corpus))
             members[identifier] = position
-            outcome = keyed.add(identifier, corpus[position])
-            assert flat.add(identifier, corpus[position]) == outcome
+            summary = summarize(corpus[position])
+            outcome = keyed.add(identifier, summary)
+            assert flat.add(identifier, summary) == outcome
             _assert_pairwise_invariants(keyed, members, outcome, covers_matrix)
         assert keyed.maximal_ids() == flat.maximal_ids()
         assert keyed.covered_mapping() == flat.covered_mapping()
@@ -550,18 +558,6 @@ class TestOneDerivationPerSubscribe:
         # seven remote routing tables share one derivation
         assert network.stats.hops_visited == 7
         assert len(calls) == (1 if covering else 0)
-
-    def test_table_toggled_alone_derives_its_own(self, monkeypatch):
-        network = BrokerNetwork(covering_enabled=False)
-        for name in ("a", "b"):
-            network.add_broker(name, engine="noncanonical")
-        network.connect("a", "b")
-        network.routing_table("b").covering_enabled = True
-        calls = _summarize_counter(monkeypatch)
-        network.subscribe("a", "x > 0")
-        narrow = network.subscribe("a", "x > 5")
-        assert len(calls) == 2
-        assert network.routing_table("b").is_suppressed(narrow.id)
 
     def test_routed_sharded_register_derives_once(self, monkeypatch):
         engine = build_engine(

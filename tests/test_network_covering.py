@@ -9,6 +9,8 @@ import pytest
 from repro.broker import Broker, BrokerNetwork
 from repro.core.registry import engine_names
 from repro.events import Event
+from repro.predicates import Operator, Predicate
+from repro.subscriptions import Subscription, leaf
 from repro.workloads import (
     NetworkChurnScenario,
     StockScenario,
@@ -37,6 +39,14 @@ class TestSuppression:
         for name in "bcd":
             assert network.broker(name).subscription_count == 1
         assert network.stats.suppressed_registrations == 3
+
+    def test_nan_equality_suppresses_no_real_value(self):
+        network = chain(names=("a", "b"))
+        nan = Subscription(leaf(Predicate("x", Operator.EQ, float("nan"))))
+        network.subscribe("a", nan, subscriber="nan")
+        network.subscribe("a", "x = 3", subscriber="three")
+        deliveries = network.publish("b", {"x": 3})
+        assert [n.subscriber for n in deliveries] == ["three"]
 
     def test_direction_mismatch_prevents_suppression(self):
         network = chain()
@@ -246,29 +256,6 @@ class TestTopologies:
             for network in networks.values():
                 for broker in network.brokers():
                     broker.engine.close()
-
-
-class TestCoveringToggle:
-    def test_toggle_after_construction_applies_to_new_arrivals(self):
-        """Regression: covering_enabled is live, not a construction-time
-        snapshot captured by each broker's routing table."""
-        network = chain(covering=False)
-        network.covering_enabled = True
-        network.subscribe("a", "x > 0", subscriber="wide")
-        network.subscribe("a", "x > 5", subscriber="narrow")
-        assert network.stats.suppressed_registrations == 3
-        # disabling mid-life floods new arrivals but leaves existing
-        # suppressions consistent (withdrawal paths still work)
-        network.covering_enabled = False
-        tight = network.subscribe("a", "x > 7", subscriber="tight")
-        assert network.stats.suppressed_registrations == 3
-        for name in "bcd":
-            assert not network.routing_table(name).is_suppressed(
-                tight.subscription_id
-            )
-        network.unsubscribe(tight)
-        deliveries = network.publish("d", Event({"x": 9}))
-        assert {n.subscriber for n in deliveries} == {"wide", "narrow"}
 
 
 class TestRoutingReports:

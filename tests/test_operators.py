@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.predicates import IndexFamily, Operator
+from repro.predicates import Operator
 
 
 class TestComparisonSemantics:
@@ -125,17 +125,6 @@ class TestOperatorMetadata:
         with pytest.raises(ValueError, match="unknown operator"):
             Operator.from_symbol("~=")
 
-    def test_index_family_assignment(self):
-        assert Operator.EQ.index_family is IndexFamily.HASH
-        assert Operator.GT.index_family is IndexFamily.BTREE
-        assert Operator.BETWEEN.index_family is IndexFamily.INTERVAL
-        assert Operator.PREFIX.index_family is IndexFamily.TRIE
-        assert Operator.CONTAINS.index_family is IndexFamily.SCAN
-
-    def test_every_operator_has_an_index_family(self):
-        for operator in Operator:
-            assert operator.index_family is not None
-
     def test_numeric_range_classification(self):
         assert Operator.LT.is_numeric_range
         assert Operator.BETWEEN.is_numeric_range
@@ -144,13 +133,6 @@ class TestOperatorMetadata:
     def test_string_only_classification(self):
         assert Operator.PREFIX.is_string_only
         assert not Operator.EQ.is_string_only
-
-    def test_arity(self):
-        from repro.predicates import OperatorArity
-
-        assert Operator.EXISTS.arity is OperatorArity.UNARY
-        assert Operator.BETWEEN.arity is OperatorArity.TERNARY
-        assert Operator.EQ.arity is OperatorArity.BINARY
 
 
 class TestOperatorProperties:

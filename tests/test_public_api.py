@@ -215,6 +215,12 @@ class TestSubscriptionHandle:
         )
         assert handle.unsubscribe() is False
 
+    def test_network_covering_is_fixed_at_construction(self):
+        network = BrokerNetwork(covering_enabled=False)
+        with pytest.raises(AttributeError):
+            network.covering_enabled = True
+        assert network.covering_enabled is False
+
     def test_network_handle_pause_suppresses_delivery(self):
         network = BrokerNetwork()
         for name in ("a", "b"):
